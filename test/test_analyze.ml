@@ -137,6 +137,41 @@ let test_qlog_corrupt_middle () =
   | Error e -> check_bool "bad magic is a parse error" true (e.Bgr_error.code = Bgr_error.Parse));
   Sys.remove path
 
+(* The golden quality log (test/corpus/frames/quality.bgrq) was written
+   by the encoder before the framing moved into [Frame]: one cadence,
+   one pass and one phase record. *)
+let golden_qlog =
+  [ { Qlog.q_t_s = 0.25;
+      q_sample =
+        sample ~deletions:64 ~worst:nan ~worst_c:(-1) ~total_neg:0.0 ~violations:0 ~ep:(nan, nan)
+          ~density:[| 1; 3; 2; 0 |] ~criteria:[ ("only_candidate", 64) ] () };
+    { Qlog.q_t_s = 1.5;
+      q_sample =
+        sample ~kind:Router.Q_pass ~phase:"improve_delay" ~pass:2 ~deletions:180 ~worst_c:3
+          ~total_neg:(-12.5) ~violations:1 ~ep:(-12.5, 340.25) ~density:[| 3; 5; 2; 4 |]
+          ~criteria:[ ("delay", 10); ("density", 2) ] () };
+    { Qlog.q_t_s = 2.75;
+      q_sample =
+        sample ~kind:Router.Q_phase ~phase:"improve_area" ~deletions:260 ~worst:8.0 ~worst_c:1
+          ~total_neg:0.0 ~violations:0 ~ep:(8.0, 400.0) ~density:[| 2; 4; 2; 3 |]
+          ~criteria:[ ("length", 5) ] ~margins:[| 8.0; 55.5; 120.125 |] () } ]
+
+let qlog_bytes records = Qlog.magic ^ String.concat "" (List.map Qlog.encode_frame records)
+
+let test_qlog_golden () =
+  let golden = Util.read_fixture "quality.bgrq" in
+  check_string "re-encodes byte for byte" golden (qlog_bytes golden_qlog);
+  match Qlog.read_string golden with
+  | Error e -> Alcotest.failf "read: %s" (Bgr_error.to_string e)
+  | Ok r ->
+    check_bool "not torn" false r.Qlog.torn;
+    check_int "three records" 3 (List.length r.Qlog.records);
+    List.iter2
+      (fun (want : Qlog.record) (got : Qlog.record) ->
+        check_bool "time" true (same_float want.Qlog.q_t_s got.Qlog.q_t_s);
+        check_bool "sample" true (same_sample want.Qlog.q_sample got.Qlog.q_sample))
+      golden_qlog r.Qlog.records
+
 (* ---- summarize + json ---------------------------------------------- *)
 
 let summary_fixture () =
@@ -483,7 +518,8 @@ let () =
     [ ( "qlog",
         [ Alcotest.test_case "framing round trip" `Quick test_qlog_roundtrip;
           Alcotest.test_case "torn tail salvage" `Quick test_qlog_torn_tail;
-          Alcotest.test_case "mid-file corruption rejected" `Quick test_qlog_corrupt_middle ] );
+          Alcotest.test_case "mid-file corruption rejected" `Quick test_qlog_corrupt_middle;
+          Alcotest.test_case "golden fixture" `Quick test_qlog_golden ] );
       ( "quality",
         [ Alcotest.test_case "summarize phases and criteria" `Quick test_summarize;
           Alcotest.test_case "quality.json round trip" `Quick test_json_roundtrip;

@@ -637,6 +637,60 @@ let test_trace_shim () =
   Obs.disable ();
   Obs.reset ()
 
+(* The golden dump (test/corpus/frames/flight.bgrf) was written by the
+   encoder before the framing moved into [Frame], under a clock that
+   advances 0.5 s per event.  The header frame carries the writer's
+   pid, so only the frames after it are compared byte for byte. *)
+let record_golden_events () =
+  Flight.record Flight.k_phase ~a:0 ~b:0 ~c:0 ~d:0;
+  Flight.record Flight.k_deletion ~a:0 ~b:(Flight.criterion_code "delay") ~c:3 ~d:(17 lsl 32);
+  Flight.record Flight.k_pass ~a:2 ~b:1 ~c:0 ~d:41;
+  Flight.record Flight.k_heartbeat ~a:2 ~b:1 ~c:41 ~d:(Flight.margin_encode (-12.5));
+  Flight.record Flight.k_stop ~a:3 ~b:1 ~c:0 ~d:97
+
+let test_flight_golden () =
+  let golden = Util.read_fixture "flight.bgrf" in
+  let t = ref 0.0 in
+  Flight.set_clock_for_tests (Some (fun () -> t := !t +. 0.5; !t));
+  Flight.reset_for_tests ();
+  let fresh =
+    Fun.protect
+      ~finally:(fun () ->
+        Flight.set_clock_for_tests None;
+        Flight.reset_for_tests ())
+      (fun () ->
+        record_golden_events ();
+        Flight.dump_string ~reason:"golden")
+  in
+  let past_header s =
+    let n = String.length Flight.magic + 4 + 18 + String.length "golden" + 4 in
+    String.sub s n (String.length s - n)
+  in
+  check_int "same length" (String.length golden) (String.length fresh);
+  check_string "ring frames re-encode byte for byte" (past_header golden) (past_header fresh);
+  match Flight.read_string golden with
+  | Error e -> Alcotest.failf "read: %s" (Bgr_error.to_string e)
+  | Ok d ->
+    check_string "reason" "golden" d.Flight.f_reason;
+    check_bool "epoch of the test clock" true (d.Flight.f_epoch_s = 0.0);
+    check_bool "not torn" false d.Flight.f_torn;
+    check_bool "no warnings" true (d.Flight.f_warnings = []);
+    (match d.Flight.f_rings with
+    | [ rg ] ->
+      check_int "main domain" 0 rg.Flight.rg_domain;
+      check_int "five events" 5 rg.Flight.rg_total
+    | _ -> Alcotest.fail "expected one ring");
+    let ev kind a b c dd i =
+      { Flight.e_kind = kind; e_a = a; e_b = b; e_c = c; e_d = dd; e_t_us = 500_000 * i }
+    in
+    check_bool "events decode" true
+      (flight_events d
+      = [ ev Flight.k_phase 0 0 0 0 1;
+          ev Flight.k_deletion 0 (Flight.criterion_code "delay") 3 (17 lsl 32) 2;
+          ev Flight.k_pass 2 1 0 41 3;
+          ev Flight.k_heartbeat 2 1 41 (Flight.margin_encode (-12.5)) 4;
+          ev Flight.k_stop 3 1 0 97 5 ])
+
 (* ---- bit-identity: observability never changes a routing decision -- *)
 
 let load_corpus name =
@@ -711,7 +765,8 @@ let () =
             test_flight_torn_and_corrupt;
           Alcotest.test_case "margin codec (nan round trip)" `Quick test_flight_margin_codec;
           Alcotest.test_case "disabled recorder is a no-op" `Quick test_flight_disabled;
-          Alcotest.test_case "dump_file records its trigger" `Quick test_flight_dump_file ] );
+          Alcotest.test_case "dump_file records its trigger" `Quick test_flight_dump_file;
+          Alcotest.test_case "golden fixture" `Quick test_flight_golden ] );
       ( "resilience",
         [ Alcotest.test_case "sink fault degrades to warning" `Quick test_sink_fault_degrades;
           Alcotest.test_case "sink fault with the recorder active" `Quick

@@ -324,6 +324,27 @@ let prop_torn_tail =
         && (r.Journal.torn = (cut <> Journal.header_bytes + (34 * k)))
         && (r.Journal.torn || r.Journal.warnings = []))
 
+(* The golden journal (test/corpus/frames/journal.bgrj) was written by
+   the encoder before the framing moved into [Frame]: today's encoder
+   must reproduce it byte for byte and the reader must decode it. *)
+let golden_journal =
+  [ { Journal.r_phase = "initial_route"; r_area_mode = false; r_net = 3; r_edge = 17;
+      r_deletions_before = 0; r_hash_before = 0 };
+    { Journal.r_phase = "improve_delay"; r_area_mode = false; r_net = 12; r_edge = 305;
+      r_deletions_before = 41; r_hash_before = 0x123456789ABC };
+    { Journal.r_phase = "improve_area"; r_area_mode = true; r_net = 7; r_edge = 88;
+      r_deletions_before = 97; r_hash_before = -1234567890123 } ]
+
+let test_golden_journal () =
+  let golden = Util.read_fixture "journal.bgrj" in
+  Alcotest.(check string) "re-encodes byte for byte" golden (journal_bytes golden_journal);
+  match Journal.read_string golden with
+  | Error e -> Alcotest.failf "read: %s" (Bgr_error.to_string e)
+  | Ok r ->
+    check_bool "decodes to the golden records" true (List.map fst r.Journal.records = golden_journal);
+    check_bool "not torn" false r.Journal.torn;
+    check_int "every byte valid" (String.length golden) r.Journal.valid_bytes
+
 let prop_midfile_flip_detected =
   let arb =
     QCheck.make
@@ -484,7 +505,8 @@ let () =
         [ Alcotest.test_case "snapshot -> load -> audit clean" `Slow
             test_snapshot_load_audit_clean ] );
       ( "journal properties",
-        [ QCheck_alcotest.to_alcotest prop_roundtrip;
+        [ Alcotest.test_case "golden fixture" `Quick test_golden_journal;
+          QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_torn_tail;
           QCheck_alcotest.to_alcotest prop_midfile_flip_detected ] );
       ( "snapshot properties",

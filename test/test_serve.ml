@@ -282,6 +282,66 @@ let prop_event_roundtrip =
     (frame_roundtrip_with ~eq:event_eq Worker.encode_event (fun p ->
          Result.map_error (fun _ -> ()) (Worker.decode_event p)))
 
+(* Golden streams (test/corpus/frames/*.bgrs, worker.bgrw), written by
+   the encoders before the framing moved into [Frame]: the magic, then
+   frames.  Re-encoding must reproduce them byte for byte. *)
+
+let golden_request =
+  Wire.Route
+    { wait = true; progress = false; timing_driven = true; deadline_ms = Some 30000;
+      name = Some "golden-1"; design = "# golden design bundle\n" }
+
+let golden_reply =
+  Wire.Result { job = "golden-1"; ok = true; json = "{\"job\":\"golden-1\",\"ok\":true}" }
+
+let golden_events =
+  [ Worker.Heartbeat
+      { phase = "initial_route"; pass = 0; deletions = 0; worst_margin_ps = Float.nan };
+    Worker.Heartbeat
+      { phase = "improve_delay"; pass = 2; deletions = 180; worst_margin_ps = -12.5 };
+    Worker.Obs_summary { json = "{\"pid\":4242}" };
+    Worker.Dump { path = "flight-a1.bgrf" };
+    Worker.Fail { code = "fault"; message = "injected fault at persist.append" };
+    Worker.Done { json = "{\"job\":\"golden-1\",\"ok\":true}" } ]
+
+(* Every payload of a stream after its magic; the stream must end on a
+   frame boundary. *)
+let stream_payloads ~magic s =
+  checkb "magic leads" true (String.sub s 0 (String.length magic) = magic);
+  let rec go pos acc =
+    if pos = String.length s then List.rev acc
+    else
+      match Wire.extract_frame s ~pos with
+      | Wire.Frame (payload, used) -> go (pos + used) (payload :: acc)
+      | _ -> Alcotest.failf "no complete frame at byte %d" pos
+  in
+  go (String.length magic) []
+
+let decoded = function Ok v -> v | Error e -> Alcotest.failf "decode: %s" e.Bgr_error.message
+
+let test_golden_serve_pair () =
+  let request = Util.read_fixture "serve_request.bgrs" in
+  let reply = Util.read_fixture "serve_reply.bgrs" in
+  check Alcotest.string "request re-encodes" request
+    (Wire.magic ^ Wire.encode_request golden_request);
+  check Alcotest.string "reply re-encodes" reply (Wire.magic ^ Wire.encode_reply golden_reply);
+  (match stream_payloads ~magic:Wire.magic request with
+  | [ p ] -> checkb "request decodes" true (decoded (Wire.decode_request p) = golden_request)
+  | _ -> Alcotest.fail "expected one request frame");
+  match stream_payloads ~magic:Wire.magic reply with
+  | [ p ] -> checkb "reply decodes" true (decoded (Wire.decode_reply p) = golden_reply)
+  | _ -> Alcotest.fail "expected one reply frame"
+
+let test_golden_worker_stream () =
+  let stream = Util.read_fixture "worker.bgrw" in
+  check Alcotest.string "events re-encode" stream
+    (Worker.magic ^ String.concat "" (List.map Worker.encode_event golden_events));
+  let got =
+    List.map (fun p -> decoded (Worker.decode_event p)) (stream_payloads ~magic:Worker.magic stream)
+  in
+  checki "six events" (List.length golden_events) (List.length got);
+  List.iter2 (fun want ev -> checkb "event decodes" true (event_eq want ev)) golden_events got
+
 (* worker pipe frames: fixed cases plus defensive decoding *)
 
 let test_worker_event_cases () =
@@ -1817,6 +1877,8 @@ let () =
           Alcotest.test_case "incremental frames" `Quick test_extract_frame;
           Alcotest.test_case "frame cap edges" `Quick test_frame_cap_edges;
           Alcotest.test_case "worker event frames" `Quick test_worker_event_cases;
+          Alcotest.test_case "golden request/reply pair" `Quick test_golden_serve_pair;
+          Alcotest.test_case "golden worker stream" `Quick test_golden_worker_stream;
           QCheck_alcotest.to_alcotest prop_request_roundtrip;
           QCheck_alcotest.to_alcotest prop_reply_roundtrip;
           QCheck_alcotest.to_alcotest prop_event_roundtrip;

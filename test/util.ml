@@ -71,3 +71,10 @@ let densities_equal a b ~n_channels ~width =
     done
   done;
   !ok
+
+(* The golden frame fixtures of test/corpus/frames ([dune runtest] runs
+   in test/, [dune exec] from the repo root). *)
+let frames_dir = if Sys.file_exists "corpus/frames" then "corpus/frames" else "test/corpus/frames"
+
+let read_fixture name =
+  In_channel.with_open_bin (Filename.concat frames_dir name) In_channel.input_all
