@@ -1,7 +1,8 @@
 type record = { q_t_s : float; q_sample : Router.quality_sample }
 
-let magic = "BGRQ1\n"
-let header_bytes = String.length magic
+let format =
+  { Frame.magic = "BGRQ1\n"; noun = "quality log"; phase = "analyze"; max_len = 0xFFFFF }
+let magic = format.Frame.magic
 let default_filename = "quality.bgrq"
 
 let kind_code = function
@@ -16,11 +17,10 @@ let kind_of_code = function
 
 (* --- encoding -------------------------------------------------------- *)
 
-(* One frame per sample: [u32 len | payload | u32 crc32(payload)], all
-   integers big-endian, floats as IEEE-754 bit patterns.  The payload
-   is self-describing (length-prefixed phase and criterion strings,
-   counted arrays), so readers need no side table — unlike the deletion
-   journal there is no fixed payload length. *)
+(* One {!Frame} per sample, floats as IEEE-754 bit patterns.  The
+   payload is self-describing (length-prefixed phase and criterion
+   strings, counted arrays), so readers need no side table — unlike
+   the deletion journal there is no fixed payload length. *)
 
 let add_f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
 
@@ -30,6 +30,13 @@ let add_short_string b s =
   Buffer.add_string b s
 
 let clamp_u16 v = if v < 0 then 0 else if v > 0xFFFF then 0xFFFF else v
+
+(* A u16 count, then exactly that many elements: an array longer than
+   the count can hold is cut, so the record stays readable. *)
+let add_counted b add a =
+  let n = clamp_u16 (Array.length a) in
+  Buffer.add_uint16_be b n;
+  for i = 0 to n - 1 do add a.(i) done
 
 let encode_payload (r : record) =
   let s = r.q_sample in
@@ -45,8 +52,7 @@ let encode_payload (r : record) =
   add_f64 b s.qs_total_negative_ps;
   add_f64 b s.qs_ep_slack_min_ps;
   add_f64 b s.qs_ep_slack_max_ps;
-  Buffer.add_uint16_be b (clamp_u16 (Array.length s.qs_density));
-  Array.iter (fun d -> Buffer.add_int32_be b (Int32.of_int d)) s.qs_density;
+  add_counted b (Frame.add_u32 b) s.qs_density;
   let crit = if List.length s.qs_criteria > 255 then [] else s.qs_criteria in
   Buffer.add_uint8 b (List.length crit);
   List.iter
@@ -54,34 +60,20 @@ let encode_payload (r : record) =
       add_short_string b name;
       Buffer.add_int32_be b (Int32.of_int count))
     crit;
-  Buffer.add_uint16_be b (clamp_u16 (Array.length s.qs_margins));
-  Array.iter (fun m -> add_f64 b m) s.qs_margins;
+  add_counted b (add_f64 b) s.qs_margins;
   Buffer.contents b
 
-let encode_frame r =
-  let payload = encode_payload r in
-  let b = Buffer.create (String.length payload + 8) in
-  Buffer.add_int32_be b (Int32.of_int (String.length payload));
-  Buffer.add_string b payload;
-  Buffer.add_int32_be b (Int32.of_int (Crc32.string payload));
-  Buffer.contents b
-
-exception Malformed of string
+let encode_frame r = Frame.encode (encode_payload r)
 
 let decode_payload s pos len =
   let limit = pos + len in
   let p = ref pos in
   let need n what =
-    if !p + n > limit then raise (Malformed (Printf.sprintf "truncated %s" what))
+    if !p + n > limit then raise (Frame.Malformed (Printf.sprintf "truncated %s" what))
   in
   let u8 what = need 1 what; let v = Char.code s.[!p] in incr p; v in
   let u16 what = need 2 what; let v = String.get_uint16_be s !p in p := !p + 2; v in
-  let u32 what =
-    need 4 what;
-    let v = Int32.to_int (String.get_int32_be s !p) land 0xFFFFFFFF in
-    p := !p + 4;
-    v
-  in
+  let u32 what = need 4 what; let v = Frame.get_u32 s !p in p := !p + 4; v in
   let i32 what = need 4 what; let v = Int32.to_int (String.get_int32_be s !p) in p := !p + 4; v in
   let i64 what = need 8 what; let v = Int64.to_int (String.get_int64_be s !p) in p := !p + 8; v in
   let f64 what =
@@ -120,7 +112,7 @@ let decode_payload s pos len =
   let n_margins = u16 "margin count" in
   let qs_margins = Array.init n_margins (fun _ -> f64 "margin") in
   if !p <> limit then
-    raise (Malformed (Printf.sprintf "%d trailing bytes in record payload" (limit - !p)));
+    raise (Frame.Malformed (Printf.sprintf "%d trailing bytes in record payload" (limit - !p)));
   { q_t_s;
     q_sample =
       { Router.qs_kind;
@@ -177,85 +169,8 @@ let close w =
 
 type read_result = { records : record list; torn : bool; warnings : string list }
 
-let get_u32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFFFFFF
+let of_salvage (r : record Frame.salvage) =
+  { records = List.map fst r.Frame.records; torn = r.torn; warnings = r.warnings }
 
-(* The same salvage discipline as [Journal.read_string]: a damaged or
-   incomplete {e final} frame is a torn tail (the process died
-   mid-append) and is truncated away with a warning; damage anywhere
-   before the final frame is corruption and a structured [Parse]
-   error. *)
-let read_string ?file s =
-  let len = String.length s in
-  if len < header_bytes || String.sub s 0 header_bytes <> magic then
-    Error (Bgr_error.make ?file ~phase:"analyze" Bgr_error.Parse "not a bgr quality log")
-  else begin
-    let records = ref [] in
-    let result = ref None in
-    let finish ~torn ~warning =
-      result :=
-        Some
-          (Ok
-             { records = List.rev !records;
-               torn;
-               warnings = (match warning with None -> [] | Some w -> [ w ]) })
-    in
-    let fail fmt =
-      Printf.ksprintf
-        (fun m -> result := Some (Error (Bgr_error.make ?file ~phase:"analyze" Bgr_error.Parse "%s" m)))
-        fmt
-    in
-    let pos = ref header_bytes in
-    while !result = None do
-      let p = !pos in
-      if p = len then finish ~torn:false ~warning:None
-      else if len - p < 4 then
-        finish ~torn:true
-          ~warning:
-            (Some
-               (Printf.sprintf
-                  "quality log tail truncated at byte %d (partial length prefix discarded)" p))
-      else begin
-        let l = get_u32 s p in
-        let frame_end = p + 4 + l + 4 in
-        if l < 1 || l > 0xFFFFF then
-          fail "quality log corrupt at byte %d: implausible record length %d" p l
-        else if frame_end > len then
-          finish ~torn:true
-            ~warning:
-              (Some
-                 (Printf.sprintf "quality log tail truncated at byte %d (torn record discarded)"
-                    p))
-        else begin
-          let crc = get_u32 s (p + 4 + l) in
-          if Crc32.update 0 s (p + 4) l <> crc then begin
-            if frame_end = len then
-              finish ~torn:true
-                ~warning:
-                  (Some
-                     (Printf.sprintf
-                        "quality log tail truncated at byte %d (bad CRC on the final record)" p))
-            else fail "quality log corrupt at byte %d: CRC mismatch before the final record" p
-          end
-          else begin
-            match decode_payload s (p + 4) l with
-            | r ->
-              records := r :: !records;
-              pos := frame_end
-            | exception Malformed m -> fail "quality log corrupt at byte %d: %s" p m
-          end
-        end
-      end
-    done;
-    Option.get !result
-  end
-
-let read ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> read_string ~file:path s
-  | exception Sys_error msg ->
-    Error (Bgr_error.make ~file:path ~phase:"analyze" Bgr_error.Io_error "%s" msg)
+let read_string ?file s = Result.map of_salvage (Frame.read_string format ?file decode_payload s)
+let read ~path = Result.map of_salvage (Frame.read format ~path decode_payload)

@@ -2,14 +2,14 @@
     binary stream of {!Router.quality_sample} records stamped with the
     run-relative wall-clock time of emission.
 
-    The framing discipline is the deletion journal's ({!Journal}): a
-    6-byte magic header followed by [u32 len | payload | u32 crc]
-    frames, big-endian throughout, floats as IEEE-754 bit patterns.
-    The payload itself is self-describing — length-prefixed phase and
-    criterion strings, counted density/margin arrays — so the format
-    survives designs of any channel or constraint count.
+    The file is a 6-byte magic header followed by one {!Frame} per
+    record, floats as IEEE-754 bit patterns.  The payload is
+    self-describing — length-prefixed phase and criterion strings,
+    counted density/margin arrays (a u16 count: at most 65,535
+    channels and margins are written) — so the format needs no side
+    table.
 
-    Recovery on read follows the journal's rules: a damaged or
+    Recovery on read is {!Frame.read_string}'s: a damaged or
     incomplete {e final} frame is a torn tail (the recording process
     died mid-append), truncated away with a warning; damage anywhere
     earlier is a structured [Parse] error. *)

@@ -3,8 +3,9 @@
    into a preallocated per-domain arena, everything else (dumping,
    reading) is cold. *)
 
-let magic = "BGRF1\n"
-let header_bytes = String.length magic
+let format =
+  { Frame.magic = "BGRF1\n"; noun = "flight record"; phase = "obs"; max_len = 0xFFFFFF }
+let magic = format.Frame.magic
 let default_filename = "flight.bgrf"
 let attempt_filename ~attempt = Printf.sprintf "flight-a%d.bgrf" attempt
 
@@ -206,21 +207,13 @@ let recorded () = (Domain.DLS.get ring_key).r_next
 let fr_header = 0x01
 let fr_ring = 0x02
 
-let add_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
-
-let add_frame b payload =
-  add_u32 b (String.length payload);
-  Buffer.add_string b payload;
-  add_u32 b (Crc32.string payload)
-
 let header_payload ~reason =
   let b = Buffer.create (32 + String.length reason) in
   Buffer.add_uint8 b fr_header;
   Buffer.add_uint8 b 1 (* codec version *);
-  add_u32 b (Unix.getpid ());
+  Frame.add_u32 b (Unix.getpid ());
   Buffer.add_int64_be b (Int64.bits_of_float (epoch_s ()));
-  add_u32 b (String.length reason);
-  Buffer.add_string b reason;
+  Frame.add_lpstr b reason;
   Buffer.contents b
 
 let ring_payload r =
@@ -231,9 +224,9 @@ let ring_payload r =
   let retained = min total ring_slots in
   let b = Buffer.create ((retained * slot_bytes) + 32) in
   Buffer.add_uint8 b fr_ring;
-  add_u32 b r.r_domain;
+  Frame.add_u32 b r.r_domain;
   Buffer.add_int64_be b (Int64.of_int total);
-  add_u32 b retained;
+  Frame.add_u32 b retained;
   (* Oldest first: when the ring has wrapped the oldest slot is the one
      [r_next] would overwrite next. *)
   let first = if total <= ring_slots then 0 else total mod ring_slots in
@@ -247,8 +240,8 @@ let dump_string ~reason =
   let rings = List.rev (Atomic.get registry) in
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
-  add_frame b (header_payload ~reason);
-  List.iter (fun r -> add_frame b (ring_payload r)) rings;
+  Frame.add b (header_payload ~reason);
+  List.iter (fun r -> Frame.add b (ring_payload r)) rings;
   Buffer.contents b
 
 let dump_file ?(trigger = 4) ~reason path =
@@ -294,111 +287,72 @@ type dump = {
   f_warnings : string list;
 }
 
-let get_u32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFFFFFF
-
 let decode_event s pos =
   { e_kind = Char.code s.[pos];
     e_a = Char.code s.[pos + 1];
-    e_b = (Char.code s.[pos + 2] lsl 8) lor Char.code s.[pos + 3];
-    e_c = get_u32 s (pos + 4);
+    e_b = String.get_uint16_be s (pos + 2);
+    e_c = Frame.get_u32 s (pos + 4);
     e_d = Int64.to_int (String.get_int64_be s (pos + 8));
     e_t_us = Int64.to_int (String.get_int64_be s (pos + 16)) }
 
-exception Bad_payload of string
+let malformed m = raise (Frame.Malformed m)
 
-let parse_header s =
-  if String.length s < 18 then raise (Bad_payload "header frame too short");
-  let version = Char.code s.[1] in
-  if version <> 1 then raise (Bad_payload (Printf.sprintf "unknown codec version %d" version));
-  let pid = get_u32 s 2 in
-  let epoch = Int64.float_of_bits (String.get_int64_be s 6) in
-  let rlen = get_u32 s 14 in
-  if String.length s <> 18 + rlen then raise (Bad_payload "header frame length mismatch");
-  (pid, epoch, String.sub s 18 rlen)
+(* One frame of a dump, decoded from the payload at [pos]. *)
+type frame = Header of int * float * string | Ring of ring | Unknown_tag of int
 
-let parse_ring s =
-  if String.length s < 17 then raise (Bad_payload "ring frame too short");
-  let domain = get_u32 s 1 in
-  let total = Int64.to_int (String.get_int64_be s 5) in
-  let n = get_u32 s 13 in
-  if String.length s <> 17 + (n * slot_bytes) then
-    raise (Bad_payload "ring frame length mismatch");
-  let events = List.init n (fun i -> decode_event s (17 + (i * slot_bytes))) in
-  { rg_domain = domain; rg_total = total; rg_events = events }
+let decode_frame s pos len =
+  let tag = Char.code s.[pos] in
+  if tag = fr_header then begin
+    if len < 18 then malformed "header frame too short";
+    let version = Char.code s.[pos + 1] in
+    if version <> 1 then malformed (Printf.sprintf "unknown codec version %d" version);
+    if len <> 18 + Frame.get_u32 s (pos + 14) then malformed "header frame length mismatch";
+    Header
+      ( Frame.get_u32 s (pos + 2),
+        Int64.float_of_bits (String.get_int64_be s (pos + 6)),
+        String.sub s (pos + 18) (len - 18) )
+  end
+  else if tag = fr_ring then begin
+    if len < 17 then malformed "ring frame too short";
+    let n = Frame.get_u32 s (pos + 13) in
+    if len <> 17 + (n * slot_bytes) then malformed "ring frame length mismatch";
+    Ring
+      { rg_domain = Frame.get_u32 s (pos + 1);
+        rg_total = Int64.to_int (String.get_int64_be s (pos + 5));
+        rg_events = List.init n (fun i -> decode_event s (pos + 17 + (i * slot_bytes))) }
+  end
+  else Unknown_tag tag
+
+(* The recorder's own rules on top of the frame salvage: the last
+   intact header wins, an unknown tag is skipped with a warning, and a
+   dump without a header is an error. *)
+let of_salvage ?file (r : frame Frame.salvage) =
+  let header = ref None and rings = ref [] and skipped = ref [] in
+  ignore
+    (List.fold_left
+       (fun start (fr, frame_end) ->
+         (match fr with
+         | Header (pid, epoch, reason) -> header := Some (pid, epoch, reason)
+         | Ring rg -> rings := rg :: !rings
+         | Unknown_tag tag ->
+           skipped :=
+             Printf.sprintf "skipping unknown frame tag 0x%02x at byte %d" tag start :: !skipped);
+         frame_end)
+       (String.length magic) r.Frame.records);
+  match !header with
+  | None ->
+    Error
+      (Bgr_error.make ?file ~phase:"obs" Bgr_error.Parse "flight record has no intact header frame")
+  | Some (pid, epoch, reason) ->
+    Ok
+      { f_pid = pid;
+        f_reason = reason;
+        f_epoch_s = epoch;
+        f_rings = List.rev !rings;
+        f_torn = r.torn;
+        f_warnings = List.rev_append !skipped r.warnings }
 
 let read_string ?file s =
-  let len = String.length s in
-  if len < header_bytes || String.sub s 0 header_bytes <> magic then
-    Error (Bgr_error.make ?file ~phase:"obs" Bgr_error.Parse "not a bgr flight record")
-  else begin
-    let parse_err fmt = Printf.ksprintf (fun m -> Bgr_error.make ?file ~phase:"obs" Bgr_error.Parse "%s" m) fmt in
-    let header = ref None and rings = ref [] in
-    let result = ref None in
-    let warnings = ref [] in
-    let finish ~torn ~warning =
-      (match warning with Some w -> warnings := w :: !warnings | None -> ());
-      match !header with
-      | None -> result := Some (Error (parse_err "flight record has no intact header frame"))
-      | Some (pid, epoch, reason) ->
-        result :=
-          Some
-            (Ok
-               { f_pid = pid;
-                 f_reason = reason;
-                 f_epoch_s = epoch;
-                 f_rings = List.rev !rings;
-                 f_torn = torn;
-                 f_warnings = List.rev !warnings })
-    in
-    let pos = ref header_bytes in
-    while !result = None do
-      let p = !pos in
-      if p = len then finish ~torn:false ~warning:None
-      else if len - p < 4 then
-        finish ~torn:true
-          ~warning:(Some (Printf.sprintf "flight record truncated at byte %d (partial length prefix)" p))
-      else begin
-        let l = get_u32 s p in
-        let frame_end = p + 4 + l + 4 in
-        if l < 1 || l > 0xFFFFFF then
-          result := Some (Error (parse_err "flight record corrupt at byte %d: implausible frame length %d" p l))
-        else if frame_end > len then
-          finish ~torn:true
-            ~warning:(Some (Printf.sprintf "flight record truncated at byte %d (torn frame discarded)" p))
-        else begin
-          let crc = get_u32 s (p + 4 + l) in
-          if Crc32.update 0 s (p + 4) l <> crc then begin
-            if frame_end = len then
-              finish ~torn:true
-                ~warning:(Some (Printf.sprintf "flight record truncated at byte %d (bad CRC on the final frame)" p))
-            else
-              result := Some (Error (parse_err "flight record corrupt at byte %d: CRC mismatch before the final frame" p))
-          end
-          else begin
-            let payload = String.sub s (p + 4) l in
-            (match
-               let tag = Char.code payload.[0] in
-               if tag = fr_header then header := Some (parse_header payload)
-               else if tag = fr_ring then rings := parse_ring payload :: !rings
-               else warnings := Printf.sprintf "skipping unknown frame tag 0x%02x at byte %d" tag p :: !warnings
-             with
-            | () -> pos := frame_end
-            | exception Bad_payload msg ->
-              result := Some (Error (parse_err "flight record corrupt at byte %d: %s" p msg)))
-          end
-        end
-      end
-    done;
-    Option.get !result
-  end
+  Result.bind (Frame.read_string format ?file decode_frame s) (of_salvage ?file)
 
-let read ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> read_string ~file:path s
-  | exception Sys_error msg ->
-    Error (Bgr_error.make ~file:path ~phase:"obs" Bgr_error.Io_error "%s" msg)
+let read ~path = Result.bind (Frame.read format ~path decode_frame) (of_salvage ~file:path)

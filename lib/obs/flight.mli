@@ -24,8 +24,8 @@
     best-effort and never raises: a failed dump must not turn a crash
     report into a second crash.
 
-    The postmortem reader follows the journal's salvage rules: a
-    damaged final frame is a torn tail (truncated away with a
+    The postmortem reader follows {!Frame.read_string}'s salvage rules:
+    a damaged final frame is a torn tail (truncated away with a
     warning); damage anywhere earlier is a structured [Parse] error. *)
 
 val magic : string

@@ -7,7 +7,9 @@ type record = {
   r_hash_before : int;
 }
 
-let magic = "BGRJ1\n"
+let format =
+  { Frame.magic = "BGRJ1\n"; noun = "deletion journal"; phase = "persist"; max_len = 0xFFFF }
+let magic = format.Frame.magic
 let header_bytes = String.length magic
 let payload_len = 26
 
@@ -39,23 +41,17 @@ let encode_payload r =
   Bytes.set_int64_be b 18 (Int64.of_int r.r_hash_before);
   Bytes.unsafe_to_string b
 
-let get_u32 s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFFFFFF
-
-let decode_payload s pos =
+let decode_payload s pos len =
+  if len <> payload_len then
+    raise (Frame.Malformed (Printf.sprintf "unsupported record length %d" len));
   { r_phase = phase_name (Char.code s.[pos]);
     r_area_mode = Char.code s.[pos + 1] <> 0;
-    r_net = get_u32 s (pos + 2);
-    r_edge = get_u32 s (pos + 6);
+    r_net = Frame.get_u32 s (pos + 2);
+    r_edge = Frame.get_u32 s (pos + 6);
     r_deletions_before = Int64.to_int (String.get_int64_be s (pos + 10));
     r_hash_before = Int64.to_int (String.get_int64_be s (pos + 18)) }
 
-let encode_frame r =
-  let payload = encode_payload r in
-  let b = Buffer.create (payload_len + 8) in
-  Buffer.add_int32_be b (Int32.of_int (String.length payload));
-  Buffer.add_string b payload;
-  Buffer.add_int32_be b (Int32.of_int (Crc32.string payload));
-  Buffer.contents b
+let encode_frame r = Frame.encode (encode_payload r)
 
 (* --- writing --------------------------------------------------------- *)
 
@@ -141,85 +137,8 @@ type read_result = {
   warnings : string list;
 }
 
-let read_string ?file s =
-  let len = String.length s in
-  if len < header_bytes || String.sub s 0 header_bytes <> magic then
-    Error (Bgr_error.make ?file ~phase:"persist" Bgr_error.Parse "not a bgr deletion journal")
-  else begin
-    let records = ref [] and n = ref 0 in
-    let result = ref None in
-    let finish ~valid_bytes ~torn ~warning =
-      result :=
-        Some
-          (Ok
-             { records = List.rev !records;
-               valid_bytes;
-               torn;
-               warnings = (match warning with None -> [] | Some w -> [ w ]) })
-    in
-    let pos = ref header_bytes in
-    while !result = None do
-      let p = !pos in
-      if p = len then finish ~valid_bytes:p ~torn:false ~warning:None
-      else if len - p < 4 then
-        finish ~valid_bytes:p ~torn:true
-          ~warning:
-            (Some
-               (Printf.sprintf
-                  "journal tail truncated at byte %d (partial length prefix discarded)" p))
-      else begin
-        let l = get_u32 s p in
-        let frame_end = p + 4 + l + 4 in
-        if l < 1 || l > 0xFFFF then
-          result :=
-            Some
-              (Error
-                 (Bgr_error.make ?file ~phase:"persist" Bgr_error.Parse
-                    "journal corrupt at byte %d: implausible record length %d" p l))
-        else if frame_end > len then
-          finish ~valid_bytes:p ~torn:true
-            ~warning:
-              (Some (Printf.sprintf "journal tail truncated at byte %d (torn record discarded)" p))
-        else begin
-          let crc = get_u32 s (p + 4 + l) in
-          if Crc32.update 0 s (p + 4) l <> crc then begin
-            if frame_end = len then
-              finish ~valid_bytes:p ~torn:true
-                ~warning:
-                  (Some
-                     (Printf.sprintf
-                        "journal tail truncated at byte %d (bad CRC on the final record)" p))
-            else
-              result :=
-                Some
-                  (Error
-                     (Bgr_error.make ?file ~phase:"persist" Bgr_error.Parse
-                        "journal corrupt at byte %d: CRC mismatch before the final record" p))
-          end
-          else if l <> payload_len then
-            result :=
-              Some
-                (Error
-                   (Bgr_error.make ?file ~phase:"persist" Bgr_error.Parse
-                      "journal record %d has unsupported length %d" !n l))
-          else begin
-            records := (decode_payload s (p + 4), frame_end) :: !records;
-            incr n;
-            pos := frame_end
-          end
-        end
-      end
-    done;
-    Option.get !result
-  end
+let of_salvage (r : record Frame.salvage) =
+  { records = r.Frame.records; valid_bytes = r.valid_bytes; torn = r.torn; warnings = r.warnings }
 
-let read ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> read_string ~file:path s
-  | exception Sys_error msg ->
-    Error (Bgr_error.make ~file:path ~phase:"persist" Bgr_error.Io_error "%s" msg)
+let read_string ?file s = Result.map of_salvage (Frame.read_string format ?file decode_payload s)
+let read ~path = Result.map of_salvage (Frame.read format ~path decode_payload)

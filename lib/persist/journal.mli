@@ -1,11 +1,7 @@
 (** The write-ahead deletion journal.
 
-    A journal file is the magic header ["BGRJ1\n"] followed by framed
-    records, each
-
-    {v [u32 length | payload | u32 CRC-32(payload)] v}
-
-    (all integers big-endian).  The payload is a fixed 26-byte encoding
+    A journal file is the magic header ["BGRJ1\n"] followed by one
+    {!Frame} per record.  The payload is a fixed 26-byte encoding
     of one {e committed primary deletion}: phase code (u8), area-mode
     flag (u8), net id (u32), edge id (u32), deletions-before (u64) and
     deletion-hash-before (u64).  Cascaded prunes and the mirrored
@@ -17,8 +13,8 @@
     applied (write-ahead); [fsync] happens at phase boundaries via
     {!sync}.  A process killed mid-append can leave a torn final
     record; {!read} truncates it with a recorded warning.  Corruption
-    {e before} the final record is a structured error — that file was
-    not produced by an append-only writer dying once.
+    {e before} the final record is a structured error (the salvage
+    rule of {!Frame.read_string}).
 
     Fault-injection sites: [persist.append] (head of {!append}, before
     any byte is written) and [persist.fsync] (head of {!sync}). *)

@@ -1,6 +1,7 @@
-let magic = "BGRS1\n"
-
-let max_payload = 16 * 1024 * 1024
+let format =
+  { Frame.magic = "BGRS1\n"; noun = "daemon message"; phase = "serve"; max_len = 16 * 1024 * 1024 }
+let magic = format.Frame.magic
+let max_payload = format.Frame.max_len
 
 type request =
   | Route of {
@@ -29,43 +30,6 @@ type reply =
   | Info of { json : string }
   | Progress of { job : string; seq : int; json : string }
   | Rstats of { prom : bool; body : string }
-
-(* --- primitive encoders ----------------------------------------------- *)
-
-let u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (v land 0xFF))
-
-let lpstr b s =
-  u32 b (String.length s);
-  Buffer.add_string b s
-
-let frame payload =
-  let b = Buffer.create (String.length payload + 8) in
-  u32 b (String.length payload);
-  Buffer.add_string b payload;
-  u32 b (Crc32.string payload);
-  Buffer.contents b
-
-(* --- primitive decoders ----------------------------------------------- *)
-
-exception Short
-exception Malformed of string
-
-let get_u32 s pos =
-  if pos + 4 > String.length s then raise Short;
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
-let get_lpstr s pos =
-  let n = get_u32 s pos in
-  if n > max_payload then raise (Malformed "string length exceeds the frame bound");
-  if pos + 4 + n > String.length s then raise Short;
-  (String.sub s (pos + 4) n, pos + 4 + n)
 
 (* --- request bodies --------------------------------------------------- *)
 
@@ -105,71 +69,71 @@ let encode_request r =
       lor if progress then flag_progress else 0
     in
     Buffer.add_char b (Char.chr flags);
-    u32 b (match deadline_ms with None -> 0 | Some ms -> max 1 ms);
-    lpstr b (Option.value name ~default:"");
-    lpstr b design
+    Frame.add_u32 b (match deadline_ms with None -> 0 | Some ms -> max 1 ms);
+    Frame.add_lpstr b (Option.value name ~default:"");
+    Frame.add_lpstr b design
   | Resume { wait; progress; job } ->
     Buffer.add_char b (Char.chr op_resume);
     Buffer.add_char b
       (Char.chr ((if wait then flag_wait else 0) lor if progress then flag_progress else 0));
-    lpstr b job
+    Frame.add_lpstr b job
   | Analyze { job } ->
     Buffer.add_char b (Char.chr op_analyze);
-    lpstr b job
+    Frame.add_lpstr b job
   | Status { job } ->
     Buffer.add_char b (Char.chr op_status);
-    lpstr b (Option.value job ~default:"")
+    Frame.add_lpstr b (Option.value job ~default:"")
   | Shutdown -> Buffer.add_char b (Char.chr op_shutdown)
   | Cancel { job } ->
     Buffer.add_char b (Char.chr op_cancel);
-    lpstr b job
+    Frame.add_lpstr b job
   | Revive { wait; force; job } ->
     Buffer.add_char b (Char.chr op_revive);
     Buffer.add_char b
       (Char.chr ((if wait then flag_wait else 0) lor if force then flag_force else 0));
-    lpstr b job
+    Frame.add_lpstr b job
   | Watch { job } ->
     Buffer.add_char b (Char.chr op_watch);
-    lpstr b job
+    Frame.add_lpstr b job
   | Stats { prom } ->
     Buffer.add_char b (Char.chr op_stats);
     Buffer.add_char b (Char.chr (if prom then flag_prom else 0))
   | Dump -> Buffer.add_char b (Char.chr op_dump));
-  frame (Buffer.contents b)
+  Frame.encode (Buffer.contents b)
 
 let encode_reply r =
   let b = Buffer.create 256 in
   (match r with
   | Accepted { job } ->
     Buffer.add_char b (Char.chr op_accepted);
-    lpstr b job
+    Frame.add_lpstr b job
   | Result { job; ok; json } ->
     Buffer.add_char b (Char.chr op_result);
-    lpstr b job;
+    Frame.add_lpstr b job;
     Buffer.add_char b (if ok then '\001' else '\000');
-    lpstr b json
+    Frame.add_lpstr b json
   | Rerror { code; message } ->
     Buffer.add_char b (Char.chr op_error);
-    lpstr b code;
-    lpstr b message
+    Frame.add_lpstr b code;
+    Frame.add_lpstr b message
   | Overloaded { reason; depth; cap } ->
     Buffer.add_char b (Char.chr op_overloaded);
-    lpstr b reason;
-    u32 b depth;
-    u32 b cap
+    Frame.add_lpstr b reason;
+    Frame.add_u32 b depth;
+    Frame.add_u32 b cap
   | Info { json } ->
     Buffer.add_char b (Char.chr op_info);
-    lpstr b json
+    Frame.add_lpstr b json
   | Progress { job; seq; json } ->
     Buffer.add_char b (Char.chr op_progress);
-    lpstr b job;
-    u32 b seq;
-    lpstr b json
+    Frame.add_lpstr b job;
+    Frame.add_u32 b seq;
+    Frame.add_lpstr b json
   | Rstats { prom; body } ->
     Buffer.add_char b (Char.chr op_rstats);
     Buffer.add_char b (Char.chr (if prom then flag_prom else 0));
-    lpstr b body);
-  frame (Buffer.contents b)
+    Frame.add_lpstr b body);
+  Frame.encode (Buffer.contents b)
 
 (* --- payload decoding -------------------------------------------------- *)
 
@@ -189,11 +153,11 @@ let decode_request ?file s =
     let op = Char.code s.[0] in
     match
       if op = op_route then begin
-        if String.length s < 2 then raise Short;
+        if String.length s < 2 then raise Frame.Short;
         let flags = Char.code s.[1] in
-        let deadline = get_u32 s 2 in
-        let name, pos = get_lpstr s 6 in
-        let design, pos = get_lpstr s pos in
+        let deadline = Frame.get_u32 s 2 in
+        let name, pos = Frame.get_lpstr s 6 in
+        let design, pos = Frame.get_lpstr s pos in
         finish ?file ~what:"route" s pos
           (Route
              { wait = flags land flag_wait <> 0;
@@ -204,9 +168,9 @@ let decode_request ?file s =
                design })
       end
       else if op = op_resume then begin
-        if String.length s < 2 then raise Short;
+        if String.length s < 2 then raise Frame.Short;
         let flags = Char.code s.[1] in
-        let job, pos = get_lpstr s 2 in
+        let job, pos = Frame.get_lpstr s 2 in
         finish ?file ~what:"resume" s pos
           (Resume
              { wait = flags land flag_wait <> 0;
@@ -214,33 +178,33 @@ let decode_request ?file s =
                job })
       end
       else if op = op_analyze then begin
-        let job, pos = get_lpstr s 1 in
+        let job, pos = Frame.get_lpstr s 1 in
         finish ?file ~what:"analyze" s pos (Analyze { job })
       end
       else if op = op_status then begin
-        let job, pos = get_lpstr s 1 in
+        let job, pos = Frame.get_lpstr s 1 in
         finish ?file ~what:"status" s pos
           (Status { job = (if job = "" then None else Some job) })
       end
       else if op = op_shutdown then finish ?file ~what:"shutdown" s 1 Shutdown
       else if op = op_cancel then begin
-        let job, pos = get_lpstr s 1 in
+        let job, pos = Frame.get_lpstr s 1 in
         finish ?file ~what:"cancel" s pos (Cancel { job })
       end
       else if op = op_revive then begin
-        if String.length s < 2 then raise Short;
+        if String.length s < 2 then raise Frame.Short;
         let flags = Char.code s.[1] in
-        let job, pos = get_lpstr s 2 in
+        let job, pos = Frame.get_lpstr s 2 in
         finish ?file ~what:"revive" s pos
           (Revive
              { wait = flags land flag_wait <> 0; force = flags land flag_force <> 0; job })
       end
       else if op = op_watch then begin
-        let job, pos = get_lpstr s 1 in
+        let job, pos = Frame.get_lpstr s 1 in
         finish ?file ~what:"watch" s pos (Watch { job })
       end
       else if op = op_stats then begin
-        if String.length s < 2 then raise Short;
+        if String.length s < 2 then raise Frame.Short;
         let flags = Char.code s.[1] in
         finish ?file ~what:"stats" s 2 (Stats { prom = flags land flag_prom <> 0 })
       end
@@ -248,8 +212,7 @@ let decode_request ?file s =
       else parse_error ?file "unknown request opcode 0x%02x" op
     with
     | r -> r
-    | exception Short -> parse_error ?file "request body is truncated (opcode 0x%02x)" op
-    | exception Malformed m -> parse_error ?file "%s" m
+    | exception Frame.Short -> parse_error ?file "request body is truncated (opcode 0x%02x)" op
   end
 
 let decode_reply ?file s =
@@ -258,75 +221,54 @@ let decode_reply ?file s =
     let op = Char.code s.[0] in
     match
       if op = op_accepted then begin
-        let job, pos = get_lpstr s 1 in
+        let job, pos = Frame.get_lpstr s 1 in
         finish ?file ~what:"accepted" s pos (Accepted { job })
       end
       else if op = op_result then begin
-        let job, pos = get_lpstr s 1 in
-        if pos >= String.length s then raise Short;
+        let job, pos = Frame.get_lpstr s 1 in
+        if pos >= String.length s then raise Frame.Short;
         let ok = s.[pos] <> '\000' in
-        let json, pos = get_lpstr s (pos + 1) in
+        let json, pos = Frame.get_lpstr s (pos + 1) in
         finish ?file ~what:"result" s pos (Result { job; ok; json })
       end
       else if op = op_error then begin
-        let code, pos = get_lpstr s 1 in
-        let message, pos = get_lpstr s pos in
+        let code, pos = Frame.get_lpstr s 1 in
+        let message, pos = Frame.get_lpstr s pos in
         finish ?file ~what:"error" s pos (Rerror { code; message })
       end
       else if op = op_overloaded then begin
-        let reason, pos = get_lpstr s 1 in
-        let depth = get_u32 s pos in
-        let cap = get_u32 s (pos + 4) in
+        let reason, pos = Frame.get_lpstr s 1 in
+        let depth = Frame.get_u32 s pos in
+        let cap = Frame.get_u32 s (pos + 4) in
         finish ?file ~what:"overloaded" s (pos + 8) (Overloaded { reason; depth; cap })
       end
       else if op = op_info then begin
-        let json, pos = get_lpstr s 1 in
+        let json, pos = Frame.get_lpstr s 1 in
         finish ?file ~what:"info" s pos (Info { json })
       end
       else if op = op_progress then begin
-        let job, pos = get_lpstr s 1 in
-        let seq = get_u32 s pos in
-        let json, pos = get_lpstr s (pos + 4) in
+        let job, pos = Frame.get_lpstr s 1 in
+        let seq = Frame.get_u32 s pos in
+        let json, pos = Frame.get_lpstr s (pos + 4) in
         finish ?file ~what:"progress" s pos (Progress { job; seq; json })
       end
       else if op = op_rstats then begin
-        if String.length s < 2 then raise Short;
+        if String.length s < 2 then raise Frame.Short;
         let flags = Char.code s.[1] in
-        let body, pos = get_lpstr s 2 in
+        let body, pos = Frame.get_lpstr s 2 in
         finish ?file ~what:"stats" s pos (Rstats { prom = flags land flag_prom <> 0; body })
       end
       else parse_error ?file "unknown reply opcode 0x%02x" op
     with
     | r -> r
-    | exception Short -> parse_error ?file "reply body is truncated (opcode 0x%02x)" op
-    | exception Malformed m -> parse_error ?file "%s" m
+    | exception Frame.Short -> parse_error ?file "reply body is truncated (opcode 0x%02x)" op
   end
 
 (* --- incremental frame extraction -------------------------------------- *)
 
-type extract = Need of int | Frame of string * int | Bad of Bgr_error.t
+type extract = Frame.extract = Need of int | Frame of string * int | Bad of Bgr_error.t
 
-let extract_frame s ~pos =
-  let avail = String.length s - pos in
-  if avail < 4 then Need (4 - avail)
-  else begin
-    let len = get_u32 s pos in
-    if len > max_payload then
-      Bad
-        (Bgr_error.make ~phase:"serve" Bgr_error.Parse
-           "frame declares a %d-byte payload; the protocol caps payloads at %d" len
-           max_payload)
-    else if avail < 4 + len + 4 then Need ((4 + len + 4) - avail)
-    else begin
-      let payload = String.sub s (pos + 4) len in
-      let crc = get_u32 s (pos + 4 + len) in
-      if crc <> Crc32.string payload then
-        Bad
-          (Bgr_error.make ~phase:"serve" Bgr_error.Parse
-             "frame CRC mismatch (recorded %08x, computed %08x)" crc (Crc32.string payload))
-      else Frame (payload, 4 + len + 4)
-    end
-  end
+let extract_frame = Frame.extract format
 
 let valid_job_id s =
   let n = String.length s in

@@ -1,16 +1,11 @@
-(** The `bgr_serve` wire protocol: length-prefixed, CRC-framed request
-    and reply messages over a Unix domain socket, in the house framing
-    style of the deletion journal ([BGRJ1]) and the quality log
-    ([BGRQ1]).
+(** The `bgr_serve` wire protocol: request and reply messages over a
+    Unix domain socket.
 
     A connection opens with both sides sending the 6-byte magic
-    ["BGRS1\n"]; every message after that is one frame
-
-    {v [u32 length | payload | u32 CRC-32(payload)] v}
-
-    (integers big-endian).  The payload's first byte is the opcode;
-    strings inside bodies are [u32 length | bytes].  The full frame
-    spec is documented in docs/serving.md.
+    ["BGRS1\n"]; every message after that is one {!Frame}.  The
+    payload's first byte is the opcode; strings inside bodies are
+    [u32 length | bytes].  The message catalogue is documented in
+    docs/serving.md.
 
     Decoding is defensive: a declared length beyond {!max_payload}, a
     CRC mismatch, a truncated body, an unknown opcode or trailing
@@ -89,13 +84,14 @@ val decode_reply : ?file:string -> string -> (reply, Bgr_error.t) result
     The daemon's event loop accumulates connection bytes in a buffer
     and repeatedly asks for the next complete frame. *)
 
-type extract =
+type extract = Frame.extract =
   | Need of int  (** at least this many more bytes required *)
   | Frame of string * int  (** payload, total frame bytes consumed *)
   | Bad of Bgr_error.t  (** oversized length or CRC mismatch *)
 
 val extract_frame : string -> pos:int -> extract
-(** Examine [s] from [pos] for one complete frame. *)
+(** Examine [s] from [pos] for one complete frame of at most
+    {!max_payload} bytes (the worker pipe shares this cap). *)
 
 val valid_job_id : string -> bool
 (** Job ids are 1..64 chars of [A-Za-z0-9._-] not starting with a dot

@@ -24,75 +24,35 @@ let op_fail = 0xC3
 let op_obs_summary = 0xC4
 let op_dump = 0xC5
 
-let u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xFF));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xFF));
-  Buffer.add_char b (Char.chr (v land 0xFF))
-
-let f64 b v =
-  let bits = Int64.bits_of_float v in
-  for i = 7 downto 0 do
-    Buffer.add_char b
-      (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical bits (i * 8)) 0xFFL)))
-  done
-
-let lpstr b s =
-  u32 b (String.length s);
-  Buffer.add_string b s
+let f64 b v = Buffer.add_int64_be b (Int64.bits_of_float v)
 
 let encode_event ev =
   let b = Buffer.create 64 in
   (match ev with
   | Heartbeat { phase; pass; deletions; worst_margin_ps } ->
     Buffer.add_char b (Char.chr op_heartbeat);
-    lpstr b phase;
-    u32 b pass;
-    u32 b deletions;
+    Frame.add_lpstr b phase;
+    Frame.add_u32 b pass;
+    Frame.add_u32 b deletions;
     f64 b worst_margin_ps
   | Done { json } ->
     Buffer.add_char b (Char.chr op_done);
-    lpstr b json
+    Frame.add_lpstr b json
   | Fail { code; message } ->
     Buffer.add_char b (Char.chr op_fail);
-    lpstr b code;
-    lpstr b message
+    Frame.add_lpstr b code;
+    Frame.add_lpstr b message
   | Obs_summary { json } ->
     Buffer.add_char b (Char.chr op_obs_summary);
-    lpstr b json
+    Frame.add_lpstr b json
   | Dump { path } ->
     Buffer.add_char b (Char.chr op_dump);
-    lpstr b path);
-  let payload = Buffer.contents b in
-  let f = Buffer.create (String.length payload + 8) in
-  u32 f (String.length payload);
-  Buffer.add_string f payload;
-  u32 f (Crc32.string payload);
-  Buffer.contents f
-
-exception Short
-exception Malformed of string
-
-let get_u32 s pos =
-  if pos + 4 > String.length s then raise Short;
-  (Char.code s.[pos] lsl 24)
-  lor (Char.code s.[pos + 1] lsl 16)
-  lor (Char.code s.[pos + 2] lsl 8)
-  lor Char.code s.[pos + 3]
-
-let get_lpstr s pos =
-  let n = get_u32 s pos in
-  if n > Wire.max_payload then raise (Malformed "string length exceeds the frame bound");
-  if pos + 4 + n > String.length s then raise Short;
-  (String.sub s (pos + 4) n, pos + 4 + n)
+    Frame.add_lpstr b path);
+  Frame.encode (Buffer.contents b)
 
 let get_f64 s pos =
-  if pos + 8 > String.length s then raise Short;
-  let bits = ref 0L in
-  for i = 0 to 7 do
-    bits := Int64.logor (Int64.shift_left !bits 8) (Int64.of_int (Char.code s.[pos + i]))
-  done;
-  Int64.float_of_bits !bits
+  if pos + 8 > String.length s then raise Frame.Short;
+  Int64.float_of_bits (String.get_int64_be s pos)
 
 let parse_error fmt =
   Printf.ksprintf
@@ -110,34 +70,33 @@ let decode_event s =
     in
     match
       if op = op_heartbeat then begin
-        let phase, pos = get_lpstr s 1 in
-        let pass = get_u32 s pos in
-        let deletions = get_u32 s (pos + 4) in
+        let phase, pos = Frame.get_lpstr s 1 in
+        let pass = Frame.get_u32 s pos in
+        let deletions = Frame.get_u32 s (pos + 4) in
         let worst_margin_ps = get_f64 s (pos + 8) in
         finish (pos + 16) (Heartbeat { phase; pass; deletions; worst_margin_ps })
       end
       else if op = op_done then begin
-        let json, pos = get_lpstr s 1 in
+        let json, pos = Frame.get_lpstr s 1 in
         finish pos (Done { json })
       end
       else if op = op_fail then begin
-        let code, pos = get_lpstr s 1 in
-        let message, pos = get_lpstr s pos in
+        let code, pos = Frame.get_lpstr s 1 in
+        let message, pos = Frame.get_lpstr s pos in
         finish pos (Fail { code; message })
       end
       else if op = op_obs_summary then begin
-        let json, pos = get_lpstr s 1 in
+        let json, pos = Frame.get_lpstr s 1 in
         finish pos (Obs_summary { json })
       end
       else if op = op_dump then begin
-        let path, pos = get_lpstr s 1 in
+        let path, pos = Frame.get_lpstr s 1 in
         finish pos (Dump { path })
       end
       else parse_error "unknown worker event opcode 0x%02x" op
     with
     | r -> r
-    | exception Short -> parse_error "worker event is truncated (opcode 0x%02x)" op
-    | exception Malformed m -> parse_error "%s" m
+    | exception Frame.Short -> parse_error "worker event is truncated (opcode 0x%02x)" op
   end
 
 (* --- job result json (shared by daemon and worker) --------------------- *)

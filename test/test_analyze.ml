@@ -172,6 +172,19 @@ let test_qlog_golden () =
         check_bool "sample" true (same_sample want.Qlog.q_sample got.Qlog.q_sample))
       golden_qlog r.Qlog.records
 
+(* A u16 count caps the density and margin arrays: a longer array is
+   cut to the count instead of writing a record its reader rejects. *)
+let test_qlog_count_clamp () =
+  let big = Array.init 70_000 float_of_int in
+  let s = sample ~kind:Router.Q_phase ~density:(Array.init 70_000 Fun.id) ~margins:big () in
+  match Qlog.read_string (qlog_bytes [ { Qlog.q_t_s = 1.0; q_sample = s } ]) with
+  | Error e -> Alcotest.failf "oversized sample must stay readable: %s" (Bgr_error.to_string e)
+  | Ok { Qlog.records = [ r ]; torn = false; _ } ->
+    check_bool "first 65,535 margins" true (r.Qlog.q_sample.qs_margins = Array.sub big 0 0xFFFF);
+    check_bool "first 65,535 densities" true
+      (r.Qlog.q_sample.qs_density = Array.init 0xFFFF Fun.id)
+  | Ok _ -> Alcotest.fail "expected exactly one intact record"
+
 (* ---- summarize + json ---------------------------------------------- *)
 
 let summary_fixture () =
@@ -519,7 +532,8 @@ let () =
         [ Alcotest.test_case "framing round trip" `Quick test_qlog_roundtrip;
           Alcotest.test_case "torn tail salvage" `Quick test_qlog_torn_tail;
           Alcotest.test_case "mid-file corruption rejected" `Quick test_qlog_corrupt_middle;
-          Alcotest.test_case "golden fixture" `Quick test_qlog_golden ] );
+          Alcotest.test_case "golden fixture" `Quick test_qlog_golden;
+          Alcotest.test_case "oversized arrays clamp to the count" `Quick test_qlog_count_clamp ] );
       ( "quality",
         [ Alcotest.test_case "summarize phases and criteria" `Quick test_summarize;
           Alcotest.test_case "quality.json round trip" `Quick test_json_roundtrip;
