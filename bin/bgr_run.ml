@@ -31,8 +31,6 @@ let case_arg =
 let no_constraints =
   Arg.(value & flag & info [ "no-constraints"; "u" ] ~doc:"Route without timing constraints (area only).")
 
-let trace_flag = Arg.(value & flag & info [ "trace" ] ~doc:"Print the router's phase trace.")
-
 let domains_arg =
   Arg.(
     value
@@ -314,12 +312,8 @@ let tables_cmd =
     Term.(const run $ csv $ domains_arg)
 
 let route_cmd =
-  let run case unconstrained with_trace domains deadline =
-    let options =
-      { Router.default_options with
-        Router.trace = (if with_trace then Some print_endline else None);
-        domains }
-    in
+  let run case unconstrained domains deadline =
+    let options = { Router.default_options with Router.domains } in
     let outcome =
       Flow.run ~options ~timing_driven:(not unconstrained)
         ~budget:(budget_of_deadline deadline) case.Suite.input
@@ -329,7 +323,7 @@ let route_cmd =
       outcome.Flow.o_measurement
   in
   Cmd.v (Cmd.info "route" ~doc:"Route one case end to end and report all metrics.")
-    Term.(const run $ case_arg $ no_constraints $ trace_flag $ domains_arg $ deadline_arg)
+    Term.(const run $ case_arg $ no_constraints $ domains_arg $ deadline_arg)
 
 let density_cmd =
   let run case =

@@ -43,8 +43,7 @@ let kind_name = function
   | 14 -> "worker_kill"
   | k -> Printf.sprintf "kind_%d" k
 
-(* The journal's phase numbering, duplicated here because the recorder
-   must not depend on bgr_persist (which depends on this library). *)
+(* The router's phase numbering, shared with the deletion journal. *)
 let phase_code = function
   | "initial_route" -> 0
   | "recover_violations" -> 1

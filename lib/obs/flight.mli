@@ -101,7 +101,8 @@ val kind_name : int -> string
 
 val phase_code : string -> int
 val phase_name : int -> string
-(** The deletion journal's fixed phase numbering (0..5, 255 unknown). *)
+(** The router's fixed phase numbering (0..5, 255 unknown), shared by
+    the flight recorder and the deletion journal's phase byte. *)
 
 val criterion_code : string -> int
 val criterion_name : int -> string

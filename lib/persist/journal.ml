@@ -13,27 +13,9 @@ let magic = format.Frame.magic
 let header_bytes = String.length magic
 let payload_len = 26
 
-let phase_code = function
-  | "initial_route" -> 0
-  | "recover_violations" -> 1
-  | "improve_delay" -> 2
-  | "improve_area" -> 3
-  | "final_recovery" -> 4
-  | "final_delay" -> 5
-  | _ -> 255
-
-let phase_name = function
-  | 0 -> "initial_route"
-  | 1 -> "recover_violations"
-  | 2 -> "improve_delay"
-  | 3 -> "improve_area"
-  | 4 -> "final_recovery"
-  | 5 -> "final_delay"
-  | _ -> "unknown"
-
 let encode_payload r =
   let b = Bytes.create payload_len in
-  Bytes.set_uint8 b 0 (phase_code r.r_phase);
+  Bytes.set_uint8 b 0 (Flight.phase_code r.r_phase);
   Bytes.set_uint8 b 1 (if r.r_area_mode then 1 else 0);
   Bytes.set_int32_be b 2 (Int32.of_int r.r_net);
   Bytes.set_int32_be b 6 (Int32.of_int r.r_edge);
@@ -44,7 +26,7 @@ let encode_payload r =
 let decode_payload s pos len =
   if len <> payload_len then
     raise (Frame.Malformed (Printf.sprintf "unsupported record length %d" len));
-  { r_phase = phase_name (Char.code s.[pos]);
+  { r_phase = Flight.phase_name (Char.code s.[pos]);
     r_area_mode = Char.code s.[pos + 1] <> 0;
     r_net = Frame.get_u32 s (pos + 2);
     r_edge = Frame.get_u32 s (pos + 6);

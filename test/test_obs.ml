@@ -610,33 +610,6 @@ let test_metrics_atomic_rewrite () =
     "second exposition, longer than the first\n" (read_file path);
   Sys.remove path
 
-(* ---- the deprecation shim ------------------------------------------ *)
-
-let mini_input () = (Suite.mini ()).Suite.input
-
-let test_trace_shim () =
-  Obs.set_clock_for_tests None;
-  Obs.disable ();
-  Obs.reset ();
-  (* legacy callback keeps working with observability off... *)
-  let lines = ref 0 in
-  let options = { Router.default_options with Router.trace = Some (fun _ -> incr lines) } in
-  ignore (Flow.run ~options (mini_input ()));
-  check_bool "legacy options.trace callback still fires" true (!lines > 0);
-  (* ...and with it on, every line is mirrored as a router.log instant *)
-  Obs.enable ();
-  Obs.reset ();
-  let lines2 = ref 0 in
-  let options2 = { Router.default_options with Router.trace = Some (fun _ -> incr lines2) } in
-  ignore (Flow.run ~options:options2 (mini_input ()));
-  let logs =
-    List.filter (fun sp -> sp.Obs.Trace.sp_name = "router.log") (Obs.Trace.completed ())
-  in
-  check_bool "router.log instants recorded" true (logs <> []);
-  check_int "one instant per legacy line" !lines2 (List.length logs);
-  Obs.disable ();
-  Obs.reset ()
-
 (* The golden dump (test/corpus/frames/flight.bgrf) was written by the
    encoder before the framing moved into [Frame], under a clock that
    advances 0.5 s per event.  The header frame carries the writer's
@@ -773,8 +746,7 @@ let () =
             test_sink_fault_with_flight_active;
           Alcotest.test_case "metrics rewrite is atomic + durable" `Quick
             test_metrics_atomic_rewrite;
-          Alcotest.test_case "double sink install warns" `Quick test_double_sink_install_warns;
-          Alcotest.test_case "options.trace deprecation shim" `Quick test_trace_shim ] );
+          Alcotest.test_case "double sink install warns" `Quick test_double_sink_install_warns ] );
       ( "determinism",
         [ Alcotest.test_case "deletion hash identical with tracing on" `Slow test_bit_identity ]
       ) ]

@@ -143,6 +143,32 @@ let test_improvement_reports () =
   let after = Array.fold_left ( + ) 0 (Density.tracks_estimate (Router.density router)) in
   check_bool "area phase never worsens total tracks" true (after <= before)
 
+(* A guard that raises abandons the phase; the criterion ordering that
+   was in force before the phase must be back all the same, or the next
+   reroute selects (and journals) under the wrong ordering. *)
+let test_guard_restores_area_mode () =
+  let abandon () = raise Exit in
+  let commit_modes router =
+    let modes = ref [] in
+    Router.set_commit_hook router (Some (fun dc -> modes := dc.Router.dc_area_mode :: !modes));
+    Router.reroute_net router 0;
+    Router.set_commit_hook router None;
+    List.sort_uniq compare !modes
+  in
+  let check_phase (name, area_first, phase) =
+    let options = { Router.default_options with Router.area_first_ordering = area_first } in
+    let router, _ = build_router ~options (mini_input ()) in
+    Router.initial_route router;
+    (match phase router with
+    | (_ : Router.phase_report) -> Alcotest.fail (name ^ ": the guard must abandon the phase")
+    | exception Exit -> ());
+    Alcotest.(check (list bool)) (name ^ ": ordering restored") [ area_first ] (commit_modes router)
+  in
+  List.iter check_phase
+    [ ("improve_area", false, fun r -> Router.improve_area ~guard:abandon r);
+      ("improve_delay", true, fun r -> Router.improve_delay ~guard:abandon r);
+      ("recover_violations", true, fun r -> Router.recover_violations ~guard:abandon r) ]
+
 let test_reroute_net_preserves_invariants () =
   let input = mini_input () in
   let router, fp = build_router input in
@@ -294,6 +320,7 @@ let suite =
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "differential mirroring" `Quick test_differential_mirroring;
     Alcotest.test_case "improvement phase bounds" `Quick test_improvement_reports;
+    Alcotest.test_case "abandoned phase restores ordering" `Quick test_guard_restores_area_mode;
     Alcotest.test_case "reroute_net invariants" `Quick test_reroute_net_preserves_invariants;
     Alcotest.test_case "unconstrained mode" `Quick test_unconstrained_mode;
     Alcotest.test_case "star estimator" `Quick test_star_estimator;
