@@ -3,16 +3,33 @@ type channel_state = {
   d_min : int array;  (* d_m chart *)
   mutable rev : int;
   mutable cache : (int * int * int * int) option;  (* C_M, NC_M, C_m, NC_m *)
+  mutable touched : Interval.t list;  (* spans mutated since the last take_touched *)
+  mutable n_touched : int;
 }
 
-type t = { channels : channel_state array; width : int }
+type t = {
+  channels : channel_state array;
+  width : int;
+  mutable touched_channels : int list;  (* channels with a non-empty [touched] *)
+}
+
+(* Past this many recorded spans a channel's record collapses into
+   their hull: coarser, still covering, and bounded in size. *)
+let max_touched = 16
 
 let create ~n_channels ~width =
   if n_channels <= 0 || width <= 0 then
     Bgr_error.raise_error Bgr_error.Internal
       "Density.create: needs positive dimensions, got %d channels x width %d" n_channels width;
-  let mk _ = { d_max = Array.make width 0; d_min = Array.make width 0; rev = 0; cache = None } in
-  { channels = Array.init n_channels mk; width }
+  let mk _ =
+    { d_max = Array.make width 0;
+      d_min = Array.make width 0;
+      rev = 0;
+      cache = None;
+      touched = [];
+      n_touched = 0 }
+  in
+  { channels = Array.init n_channels mk; width; touched_channels = [] }
 
 let width t = t.width
 let n_channels t = Array.length t.channels
@@ -23,9 +40,13 @@ let channel t c =
       (Array.length t.channels);
   t.channels.(c)
 
-let touch ch =
+let touch t c ch span =
   ch.rev <- ch.rev + 1;
-  ch.cache <- None
+  ch.cache <- None;
+  if ch.n_touched = 0 then t.touched_channels <- c :: t.touched_channels;
+  if ch.n_touched < max_touched then ch.touched <- span :: ch.touched
+  else ch.touched <- [ List.fold_left Interval.hull span ch.touched ];
+  ch.n_touched <- ch.n_touched + 1
 
 let bump arr span delta =
   Interval.iter
@@ -39,7 +60,7 @@ let add_trunk t ~channel:c ~span ~w ~bridge =
     let ch = channel t c in
     bump ch.d_max span w;
     if bridge then bump ch.d_min span w;
-    touch ch
+    touch t c ch span
   end
 
 let remove_trunk t ~channel:c ~span ~w ~bridge =
@@ -47,23 +68,37 @@ let remove_trunk t ~channel:c ~span ~w ~bridge =
     let ch = channel t c in
     bump ch.d_max span (-w);
     if bridge then bump ch.d_min span (-w);
-    touch ch
+    touch t c ch span
   end
 
 let set_bridge t ~channel:c ~span ~w bridge =
   if not (Interval.is_empty span) then begin
     let ch = channel t c in
     bump ch.d_min span (if bridge then w else -w);
-    touch ch
+    touch t c ch span
   end
 
 let clear t =
-  Array.iter
-    (fun ch ->
+  Array.iteri
+    (fun c ch ->
       Array.fill ch.d_max 0 (Array.length ch.d_max) 0;
       Array.fill ch.d_min 0 (Array.length ch.d_min) 0;
-      touch ch)
+      touch t c ch (Interval.span 0 t.width))
     t.channels
+
+let take_touched t =
+  let out =
+    List.rev_map
+      (fun c ->
+        let ch = t.channels.(c) in
+        let spans = ch.touched in
+        ch.touched <- [];
+        ch.n_touched <- 0;
+        (c, spans))
+      t.touched_channels
+  in
+  t.touched_channels <- [];
+  out
 
 let max_and_count arr lo hi =
   (* Maximum over columns [lo, hi) and how many columns attain it. *)

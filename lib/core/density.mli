@@ -13,7 +13,11 @@
     recomputed lazily; every mutation bumps the channel's revision so
     per-edge caches elsewhere can invalidate.  Per-edge interval
     parameters [D_M, ND_M, D_m, ND_m] take the maximum (and the count
-    of columns attaining it) of the chart over the edge's interval. *)
+    of columns attaining it) of the chart over the edge's interval.
+
+    Every mutation also records the column span it covered, so an
+    incremental consumer ({!take_touched}) can tell which per-edge
+    parameters may have moved without rescanning every edge. *)
 
 type t
 
@@ -37,6 +41,13 @@ val clear : t -> unit
 (** Zero both charts of every channel (bumping each revision) — the
     first step of rebuilding the density state from the net graphs
     ({!Router.rebuild_derived} / [Verify.audit ~repair]). *)
+
+val take_touched : t -> (int * Interval.t list) list
+(** The channels mutated since the previous call, each with spans that
+    cover every column a mutation touched (after 16 spans a channel's
+    record collapses into their hull), and forget them.  An edge whose
+    span meets none of its channel's spans has unchanged
+    [D_M, ND_M, D_m, ND_m]. *)
 
 val cM : t -> channel:int -> int
 (** Maximum of [d_M] over the channel — the track upper bound. *)

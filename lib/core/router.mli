@@ -14,6 +14,12 @@
        rip up and reroute nets one by one;}
     {- {!run} chains all of the above.}}
 
+    A selection picks exactly the candidate a linear scan of the nets
+    in order, then edge ids ascending, would pick under the Sec. 3.4
+    comparison chain.  It is incremental: the candidates sit in a
+    winner tree and each deletion re-scores only those whose net,
+    timing or density span it changed.
+
     Pass [sta = None] (or a constraint-free STA) for the paper's
     "without constraints" baseline: all delay criteria tie and the
     selection degenerates to the pure density heuristics. *)

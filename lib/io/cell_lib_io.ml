@@ -24,15 +24,17 @@ let to_string lib =
         (fun (t : Cell.terminal) ->
           match t.Cell.dir with
           | Cell.Input ->
-            line "in %s fanin %.12g offset %d access %s" t.Cell.t_name t.Cell.fanin_ff
-              t.Cell.offset (access_name t.Cell.access)
+            line "in %s fanin %s offset %d access %s" t.Cell.t_name
+              (Lineio.float_repr t.Cell.fanin_ff) t.Cell.offset (access_name t.Cell.access)
           | Cell.Output ->
-            line "out %s tf %.12g td %.12g offset %d access %s" t.Cell.t_name t.Cell.tf_ps_per_ff
-              t.Cell.td_ps_per_ff t.Cell.offset (access_name t.Cell.access))
+            line "out %s tf %s td %s offset %d access %s" t.Cell.t_name
+              (Lineio.float_repr t.Cell.tf_ps_per_ff) (Lineio.float_repr t.Cell.td_ps_per_ff)
+              t.Cell.offset (access_name t.Cell.access))
         c.Cell.terminals;
       List.iter
         (fun (a : Cell.arc) ->
-          line "arc %s %s %.12g" a.Cell.from_input a.Cell.to_output a.Cell.intrinsic_ps)
+          line "arc %s %s %s" a.Cell.from_input a.Cell.to_output
+            (Lineio.float_repr a.Cell.intrinsic_ps))
         c.Cell.arcs)
     (Cell_lib.cells lib);
   Buffer.contents buf

@@ -10,7 +10,8 @@ let to_string netlist constraints =
   line "# bgr constraints v1";
   List.iter
     (fun (pc : Path_constraint.t) ->
-      line "constraint %s limit %.12g" pc.Path_constraint.cname pc.Path_constraint.limit_ps;
+      line "constraint %s limit %s" pc.Path_constraint.cname
+        (Lineio.float_repr pc.Path_constraint.limit_ps);
       List.iter (fun n -> line "source %s" (node_name netlist n)) pc.Path_constraint.sources;
       List.iter (fun n -> line "sink %s" (node_name netlist n)) pc.Path_constraint.sinks)
     constraints;

@@ -33,6 +33,13 @@ let float_field ~line ~what s =
   | Some _ -> fail ~line "expected a finite number for %s, got %S" what s
   | None -> fail ~line "expected a number for %s, got %S" what s
 
+let float_repr v =
+  let rec go digits =
+    let s = Printf.sprintf "%.*g" digits v in
+    if digits >= 17 || float_of_string s = v then s else go (digits + 1)
+  in
+  go 12
+
 let read_all path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) (fun () ->

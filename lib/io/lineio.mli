@@ -25,6 +25,11 @@ val float_field : line:int -> what:string -> string -> float
 (** Rejects NaN and infinities: every number in a design file must be
     finite. *)
 
+val float_repr : float -> string
+(** The shortest of [%.12g] ... [%.17g] that parses back to exactly [v]
+    (for a finite [v]): values that [%.12g] already carries keep those
+    bytes, and no value loses low bits in a write/parse round trip. *)
+
 val read_all : string -> string
 (** Whole file as a string.  @raise Sys_error *)
 

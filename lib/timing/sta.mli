@@ -4,9 +4,16 @@
     sub-DAG of vertices lying on some source-to-sink path — is fixed by
     topology and computed once.  Arrivals [lp(v)] (the "original longest
     path delay to v" of Eq. 2) and margins
-    [M(P) = tau_P - critical delay] are recomputed by {!refresh} after
-    wiring-capacitance updates; {!timing_revision} lets callers cache
-    values derived from them. *)
+    [M(P) = tau_P - critical delay] are recomputed by {!refresh} or
+    {!refresh_for_nets} after wiring-capacitance updates.
+
+    Each net carries a timing revision ({!net_timing_revision}) that
+    moves whenever anything a per-net consumer may read about the net
+    changes: the margin or limit of one of its constraints, the arrival
+    at an endpoint of one of its [G_d(P)] edges, or its own edge
+    weights.  A value derived from exactly those readings can be cached
+    on the net's stamp alone; a recompute that leaves them bit-identical
+    does not move it. *)
 
 type t
 
@@ -29,15 +36,19 @@ val refresh : t -> unit
 val set_limit : t -> int -> float -> unit
 (** Change a constraint's delay limit in place — the ECO entry point:
     tighten after routing, then run the router's violation-recovery
-    phase.  Bumps the timing revision.
+    phase.  Bumps the timing revision of every net of the constraint.
     @raise Path_constraint.Bad_constraint on a non-positive limit. *)
 
 val refresh_for_nets : t -> int list -> unit
 (** Recompute only the constraints whose [G_d(P)] contains an edge of
-    one of the given nets. *)
+    one of the given nets.  Bumps the timing revision of each given net
+    (its edge weights changed), of every net of a recomputed constraint
+    whose critical delay changed, and of every net with a [G_d(P)] edge
+    endpoint whose arrival changed. *)
 
-val timing_revision : t -> int
-(** Bumped by every refresh that changed at least one constraint. *)
+val net_timing_revision : t -> int -> int
+(** The net's timing revision (see the module comment).  {!refresh}
+    bumps every net. *)
 
 val margin : t -> int -> float
 (** [M(P)]: limit minus critical delay; negative on violation;
