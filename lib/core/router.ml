@@ -451,8 +451,8 @@ let cl_without t ns eid =
          match t.opts.cl_estimator with
          | Star_bbox -> ns.cl_ff
          | Tentative_tree -> (
-           match Routing_graph.tentative_tree ~exclude_edge:eid ns.rg with
-           | Some edges -> Routing_graph.tree_capacitance ns.rg ~edge_ids:edges
+           match Routing_graph.tentative_capacitance ns.rg ~exclude_edge:eid with
+           | Some cl -> cl
            | None -> infinity (* cannot happen for non-bridge edges *))
        end)
   end;

@@ -179,11 +179,15 @@ let tree_capacitance t ~edge_ids =
 let geometric_length_um t ~edge_ids =
   List.fold_left (fun acc eid -> acc +. t.geo_um.(eid)) 0.0 edge_ids
 
+(* The driver is among [terminals]; as a target of its own search it
+   adds no edge. *)
 let tentative_tree ?exclude_edge ?cost t =
-  let targets = List.filter (fun v -> v <> t.driver) t.terminals in
-  match exclude_edge with
-  | None -> Dijkstra.tentative_tree ?cost t.graph ~source:t.driver ~targets
-  | Some e -> Dijkstra.tentative_tree ~exclude_edge:e ?cost t.graph ~source:t.driver ~targets
+  Dijkstra.tentative_tree ?exclude_edge ?cost t.graph ~source:t.driver ~targets:t.terminals
+
+let tentative_capacitance t ~exclude_edge =
+  match Dijkstra.tree_length ~exclude_edge t.graph ~source:t.driver ~targets:t.terminals with
+  | Some um -> Some (um *. t.cap_per_um)
+  | None -> None
 
 let pp fp ppf t =
   let netlist = Floorplan.netlist fp in

@@ -81,5 +81,10 @@ val tentative_tree :
     [cost] overrides the edge weights (e.g. to price congestion for the
     sequential baseline). *)
 
+val tentative_capacitance : t -> exclude_edge:int -> float option
+(** [tree_capacitance] of [tentative_tree ~exclude_edge], bit for bit,
+    without building the edge list: [CL(n)] assuming the deletion of
+    the edge (the [LM(e,P)] what-if). *)
+
 val pp : Floorplan.t -> Format.formatter -> t -> unit
 (** Render the graph structure (for the Fig. 3 example). *)

@@ -1,25 +1,18 @@
-(** Single-source shortest paths over the live edges of a [Ugraph],
-    and shortest-path-union ("tentative") trees.
+(** Shortest-path-union ("tentative") trees over the live edges of a
+    [Ugraph].
 
     The router estimates every net's wire length with "the shortest
     paths from the driving terminal vertex to all other terminals ...
     The union of all paths is the tentative tree" (Sec. 3.2).  The
     optional [exclude_edge] implements the what-if evaluation of
-    [LM(e,P)]: a tentative tree "assuming the deletion of e". *)
+    [LM(e,P)]: a tentative tree "assuming the deletion of e".
 
-type result = {
-  dist : float array;  (** [infinity] when unreachable *)
-  parent_edge : int array;  (** entering edge id on a shortest path; -1 at source / unreachable *)
-}
-
-val shortest_paths :
-  ?exclude_edge:int -> ?cost:(Ugraph.edge -> float) -> Ugraph.t -> source:int -> result
-(** [cost] (default: the edge weight) lets callers price congestion
-    into the search — used by the sequential baseline router. *)
-
-val path_edges : Ugraph.t -> result -> target:int -> int list option
-(** Edge ids of the shortest path from source to [target], target side
-    first; [None] when unreachable. *)
+    Both functions run one search kernel on per-domain scratch; see the
+    implementation's header for why it equals a full Dijkstra search
+    bit for bit.  [cost] (default: the edge weight) lets callers price
+    congestion into the search, as the sequential baseline router does;
+    it must be non-negative and must not itself build a tentative
+    tree. *)
 
 val tentative_tree :
   ?exclude_edge:int ->
@@ -30,7 +23,12 @@ val tentative_tree :
   int list option
 (** Union of the shortest-path edge sets from [source] to every target,
     deduplicated, in increasing id order.  [None] if any target is
-    unreachable. *)
+    unreachable.  Ties between equal-cost paths go to the edge that
+    first strictly improved the vertex's distance. *)
+
+val tree_length : ?exclude_edge:int -> Ugraph.t -> source:int -> targets:int list -> float option
+(** [edges_length] of [tentative_tree] (priced by the edge weights),
+    bit for bit, without building the list. *)
 
 val edges_length : Ugraph.t -> int list -> float
-(** Total weight of the given edge ids. *)
+(** Total weight of the given edge ids, summed in list order from 0.0. *)

@@ -7,6 +7,7 @@ type t = {
 let create () = { keys = Array.make 16 0.0; payloads = Array.make 16 0; size = 0 }
 let is_empty t = t.size = 0
 let size t = t.size
+let clear t = t.size <- 0
 
 let grow t =
   let capacity = Array.length t.keys in
@@ -45,22 +46,38 @@ let rec sift_down t i =
     sift_down t !smallest
   end
 
-let push t key payload =
-  grow t;
-  t.keys.(t.size) <- key;
+(* Seat [payload], whose key the caller has just written at [size]. *)
+let seat t payload =
   t.payloads.(t.size) <- payload;
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
+let push t key payload =
+  grow t;
+  t.keys.(t.size) <- key;
+  seat t payload
+
+(* [push t dist.(v) v], spelled out so the key is never passed as a
+   float argument: across modules that would box it. *)
+let push_dist t dist v =
+  grow t;
+  t.keys.(t.size) <- dist.(v);
+  seat t v
+
+let pop_min t =
+  if t.size = 0 then invalid_arg "Heap.pop_min: empty heap";
+  let payload = t.payloads.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.keys.(0) <- t.keys.(t.size);
+    t.payloads.(0) <- t.payloads.(t.size);
+    sift_down t 0
+  end;
+  payload
+
 let pop t =
   if t.size = 0 then None
   else begin
-    let key = t.keys.(0) and payload = t.payloads.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.keys.(0) <- t.keys.(t.size);
-      t.payloads.(0) <- t.payloads.(t.size);
-      sift_down t 0
-    end;
-    Some (key, payload)
+    let key = t.keys.(0) in
+    Some (key, pop_min t)
   end

@@ -83,9 +83,17 @@ let other_endpoint e v =
     Bgr_error.raise_error Bgr_error.Internal
       "Ugraph.other_endpoint: vertex %d not on edge %d (%d-%d)" v e.id e.u e.v
 
+let rec iter_live_ids t f = function
+  | [] -> ()
+  | id :: rest ->
+    if Bytes.unsafe_get t.alive id = '\001' then f (Array.unsafe_get t.edges id);
+    iter_live_ids t f rest
+
+let iter_incident_unchecked t v f = iter_live_ids t f (Array.unsafe_get t.adjacency v)
+
 let iter_incident t v f =
   check_vertex t v;
-  List.iter (fun id -> if is_live t id then f t.edges.(id)) t.adjacency.(v)
+  iter_incident_unchecked t v f
 
 let fold_incident t v f acc =
   check_vertex t v;

@@ -55,7 +55,12 @@ val iter_edges : t -> (edge -> unit) -> unit
 val fold_edges : t -> ('a -> edge -> 'a) -> 'a -> 'a
 
 val iter_incident : t -> int -> (edge -> unit) -> unit
-(** Iterate live edges incident to a vertex. *)
+(** Iterate live edges incident to a vertex, newest first. *)
+
+val iter_incident_unchecked : t -> int -> (edge -> unit) -> unit
+(** [iter_incident] without the vertex check, for the shortest-path
+    kernel's inner loop: the same order (newest first, live edges only),
+    no allocation.  The caller guarantees [0 <= v < n_vertices]. *)
 
 val fold_incident : t -> int -> ('a -> edge -> 'a) -> 'a -> 'a
 

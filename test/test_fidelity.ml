@@ -112,7 +112,7 @@ let prop_dijkstra_vs_bellman =
         ignore (Ugraph.add_vertex g)
       done;
       List.iter (fun (u, v, w) -> if u <> v then ignore (Ugraph.add_edge g ~u ~v ~weight:w)) pairs;
-      let r = Dijkstra.shortest_paths g ~source:0 in
+      let r = Ref_dijkstra.shortest_paths g ~source:0 in
       (* Bellman-Ford over the undirected edges. *)
       let dist = Array.make n infinity in
       dist.(0) <- 0.0;
@@ -126,9 +126,9 @@ let prop_dijkstra_vs_bellman =
       let ok = ref true in
       for v = 0 to n - 1 do
         if dist.(v) = infinity then begin
-          if r.Dijkstra.dist.(v) <> infinity then ok := false
+          if r.Ref_dijkstra.dist.(v) <> infinity then ok := false
         end
-        else if abs_float (dist.(v) -. r.Dijkstra.dist.(v)) > 1e-9 then ok := false
+        else if abs_float (dist.(v) -. r.Ref_dijkstra.dist.(v)) > 1e-9 then ok := false
       done;
       !ok)
 

@@ -68,6 +68,30 @@ let prop_heap_sorts =
       in
       drain neg_infinity)
 
+let prop_heap_pop_min =
+  (* [push_dist]/[pop_min] on a reused, cleared heap give [push]/[pop]'s
+     exact payload sequence, ties included: the kernel's parent edges
+     depend on it. *)
+  QCheck.Test.make ~name:"heap: cleared heap with push_dist/pop_min pops as a fresh heap"
+    ~count:200
+    QCheck.(pair (small_list (int_range 0 5)) (small_list (int_range 0 5)))
+    (fun (junk, keys) ->
+      let fresh = Heap.create () and reused = Heap.create () in
+      List.iteri (fun i k -> Heap.push reused (float_of_int k) (-i)) junk;
+      Heap.clear reused;
+      let dist = Array.of_list (List.map float_of_int keys) in
+      List.iteri
+        (fun i k ->
+          Heap.push fresh (float_of_int k) i;
+          Heap.push_dist reused dist i)
+        keys;
+      let rec same () =
+        match Heap.pop fresh with
+        | None -> Heap.is_empty reused
+        | Some (_, v) -> v = Heap.pop_min reused && same ()
+      in
+      same ())
+
 (* --- Ugraph ----------------------------------------------------------- *)
 
 let path_graph n =
@@ -206,15 +230,15 @@ let test_dijkstra_distances () =
   let _ = Ugraph.add_edge g ~u:v.(1) ~v:v.(3) ~weight:1.0 in
   let _ = Ugraph.add_edge g ~u:v.(0) ~v:v.(2) ~weight:2.5 in
   let _ = Ugraph.add_edge g ~u:v.(2) ~v:v.(3) ~weight:0.1 in
-  let r = Dijkstra.shortest_paths g ~source:v.(0) in
-  check_float "direct" 1.0 r.Dijkstra.dist.(v.(1));
-  check_float "via shortcut" 2.0 r.Dijkstra.dist.(v.(3));
-  check_float "long way" 2.1 r.Dijkstra.dist.(v.(2))
+  let r = Ref_dijkstra.shortest_paths g ~source:v.(0) in
+  check_float "direct" 1.0 r.Ref_dijkstra.dist.(v.(1));
+  check_float "via shortcut" 2.0 r.Ref_dijkstra.dist.(v.(3));
+  check_float "long way" 2.1 r.Ref_dijkstra.dist.(v.(2))
 
 let test_dijkstra_exclude () =
   let g, vs, es = path_graph 3 in
-  let r = Dijkstra.shortest_paths ~exclude_edge:es.(0) g ~source:vs.(0) in
-  check_bool "excluded edge disconnects" true (r.Dijkstra.dist.(vs.(2)) = infinity);
+  let r = Ref_dijkstra.shortest_paths ~exclude_edge:es.(0) g ~source:vs.(0) in
+  check_bool "excluded edge disconnects" true (r.Ref_dijkstra.dist.(vs.(2)) = infinity);
   check_bool "tentative tree signals it" true
     (Dijkstra.tentative_tree ~exclude_edge:es.(0) g ~source:vs.(0) ~targets:[ vs.(2) ] = None)
 
@@ -237,14 +261,95 @@ let prop_dijkstra_triangle =
     (QCheck.make random_graph_gen)
     (fun (n, pairs) ->
       let g = build_graph (n, pairs) in
-      let r = Dijkstra.shortest_paths g ~source:0 in
+      let r = Ref_dijkstra.shortest_paths g ~source:0 in
       let ok = ref true in
       Ugraph.iter_edges g (fun e ->
-          let du = r.Dijkstra.dist.(e.Ugraph.u) and dv = r.Dijkstra.dist.(e.Ugraph.v) in
+          let du = r.Ref_dijkstra.dist.(e.Ugraph.u) and dv = r.Ref_dijkstra.dist.(e.Ugraph.v) in
           if du < infinity && dv > du +. e.Ugraph.weight +. 1e-9 then ok := false;
           if dv < infinity && du > dv +. e.Ugraph.weight +. 1e-9 then ok := false);
       ignore n;
       !ok)
+
+(* The tentative-tree kernel against the plain algorithm (Ref_dijkstra):
+   equal edge lists and bit-equal lengths.  Weights are small integers
+   (many ties), zeros and fractions (so summation order shows); graphs
+   have parallel edges, self-loops, deleted edges and isolated vertices
+   (unreachable targets); some cases exclude an edge or price edges
+   through [cost] (those compare the edge lists only: [tree_length]
+   prices by the weights). *)
+type sp_case = {
+  n : int;
+  edges : (int * int * float) list;
+  deleted : int list;  (* edge ids *)
+  source : int;
+  targets : int list;
+  exclude : int option;
+  salt : int option;  (* Some k: a [cost] that ignores the weights *)
+}
+
+let sp_case_gen =
+  QCheck.Gen.(
+    let* n = int_range 1 40 in
+    let* m = int_range 0 (3 * n) in
+    let weight = oneofl [ 0.0; 1.0; 1.0; 2.0; 3.0; 0.1; 0.2; 0.7; 1e-3; 7.25 ] in
+    let* edges = list_repeat m (triple (int_range 0 (n - 1)) (int_range 0 (n - 1)) weight) in
+    let* deleted = list_size (int_range 0 (m / 3)) (int_range 0 (max 0 (m - 1))) in
+    let* source = int_range 0 (n - 1) in
+    let* targets = list_size (int_range 0 6) (int_range 0 (n - 1)) in
+    let* exclude = opt (int_range (-1) m) in
+    let* salt = opt (int_range 1 7) in
+    return { n; edges; deleted = (if m = 0 then [] else deleted); source; targets; exclude; salt })
+
+let print_sp_case c =
+  Printf.sprintf "n=%d source=%d targets=[%s] exclude=%s salt=%s deleted=[%s] edges=[%s]" c.n
+    c.source
+    (String.concat ";" (List.map string_of_int c.targets))
+    (match c.exclude with Some e -> string_of_int e | None -> "-")
+    (match c.salt with Some k -> string_of_int k | None -> "-")
+    (String.concat ";" (List.map string_of_int c.deleted))
+    (String.concat ";" (List.map (fun (u, v, w) -> Printf.sprintf "%d-%d:%g" u v w) c.edges))
+
+let kernel_matches_reference c =
+  let g = Ugraph.create ~vertex_hint:1 ~edge_hint:1 () in
+  for _ = 1 to c.n do
+    ignore (Ugraph.add_vertex g)
+  done;
+  List.iter (fun (u, v, weight) -> ignore (Ugraph.add_edge g ~u ~v ~weight)) c.edges;
+  List.iter (Ugraph.delete_edge g) c.deleted;
+  let cost =
+    Option.map (fun k (e : Ugraph.edge) -> 0.5 *. float_of_int (e.Ugraph.id * k mod 4)) c.salt
+  in
+  let exclude_edge = c.exclude and source = c.source and targets = c.targets in
+  let reference = Ref_dijkstra.tentative_tree ?exclude_edge ?cost g ~source ~targets in
+  let kernel = Dijkstra.tentative_tree ?exclude_edge ?cost g ~source ~targets in
+  kernel = reference
+  && (Option.is_some cost
+     ||
+     match (reference, Dijkstra.tree_length ?exclude_edge g ~source ~targets) with
+     | None, None -> true
+     | Some ids, Some um ->
+       Int64.equal (Int64.bits_of_float (Dijkstra.edges_length g ids)) (Int64.bits_of_float um)
+     | _ -> false)
+
+(* Several graphs per case, run back to back on one domain's scratch:
+   the sizes grow and shrink, so stale stamps and grown arrays from the
+   previous graph are always in play. *)
+let prop_kernel_vs_reference =
+  QCheck.Test.make ~name:"dijkstra: kernel equals the reference, lengths bit-equal" ~count:400
+    (QCheck.make
+       ~print:(fun cs -> String.concat "\n" (List.map print_sp_case cs))
+       QCheck.Gen.(list_size (int_range 1 4) sp_case_gen))
+    (List.for_all kernel_matches_reference)
+
+let test_kernel_two_domains () =
+  (* Each domain has its own scratch: two domains checking the same
+     cases at once must both agree with the reference throughout. *)
+  let cases = QCheck.Gen.generate ~rand:(Random.State.make [| 27 |]) ~n:300 sp_case_gen in
+  let run () = List.for_all kernel_matches_reference cases in
+  let a = Domain.spawn run and b = Domain.spawn run in
+  let ok_a = Domain.join a and ok_b = Domain.join b in
+  check_bool "first domain agrees" true ok_a;
+  check_bool "second domain agrees" true ok_b
 
 (* --- Dag ----------------------------------------------------------------- *)
 
@@ -318,6 +423,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_dsu_vs_naive;
     Alcotest.test_case "heap order" `Quick test_heap_order;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
+    QCheck_alcotest.to_alcotest prop_heap_pop_min;
     Alcotest.test_case "ugraph basics" `Quick test_ugraph_basics;
     Alcotest.test_case "ugraph connectivity" `Quick test_ugraph_connectivity;
     Alcotest.test_case "ugraph parallel edges" `Quick test_ugraph_parallel_edges;
@@ -329,6 +435,8 @@ let suite =
     Alcotest.test_case "dijkstra exclude edge" `Quick test_dijkstra_exclude;
     Alcotest.test_case "tentative tree union" `Quick test_tentative_tree_union;
     QCheck_alcotest.to_alcotest prop_dijkstra_triangle;
+    QCheck_alcotest.to_alcotest prop_kernel_vs_reference;
+    Alcotest.test_case "dijkstra kernel on two domains" `Quick test_kernel_two_domains;
     Alcotest.test_case "dag topo order" `Quick test_dag_topo;
     Alcotest.test_case "dag cycle detection" `Quick test_dag_cycle;
     Alcotest.test_case "dag longest path (chain)" `Quick test_dag_longest;

@@ -5,7 +5,8 @@
    - bridges of every net (Bridges.bridges on the live graph);
    - the density charts (a fresh Density recount over the live trunks);
    - the timing state (a fresh Sta over the current delay graph);
-   - CL(n) and CL(n) without the edge (tentative trees).
+   - CL(n) and CL(n) without the edge (tentative trees of the plain
+     algorithm in Ref_dijkstra, not the router's kernel).
 
    It then scans the admissible candidates of the current selection
    round linearly, in the engine's visit order (nets in round order,
@@ -83,7 +84,12 @@ let delay_part w n e =
       let cl_without =
         if not (List.mem e tree) then cl
         else begin
-          match Routing_graph.tentative_tree ~exclude_edge:e rg with
+          (* The plain algorithm, not the router's kernel: every
+             deletion checks the kernel against slow code. *)
+          let targets = List.filter (fun v -> v <> rg.Routing_graph.driver) rg.terminals in
+          match
+            Ref_dijkstra.tentative_tree ~exclude_edge:e rg.graph ~source:rg.driver ~targets
+          with
           | Some edges -> Routing_graph.tree_capacitance rg ~edge_ids:edges
           | None -> infinity
         end
