@@ -194,21 +194,7 @@ let micro_tests () =
          done;
          !best
        in
-       let segs =
-         List.map
-           (fun (cn : Router.chan_net) ->
-             { Channel_router.seg_net = cn.Router.cn_net;
-               seg_lo = cn.Router.cn_lo;
-               seg_hi = cn.Router.cn_hi;
-               seg_pins =
-                 List.map
-                   (fun (p : Router.chan_pin) ->
-                     { Channel_router.pin_x = p.Router.cp_x;
-                       pin_from_top = p.Router.cp_from_top })
-                   cn.Router.cn_pins;
-               seg_width = cn.Router.cn_pitch })
-           (Router.channel_nets router ~channel)
-       in
+       let segs = (Flow.channel_segments router).(channel) in
        Staged.stage (fun () -> Channel_router.route segs)) ]
 
 let micro () =

@@ -43,7 +43,7 @@ let floorplan_of_input input =
   Floorplan.make ~netlist:input.netlist ~dims:input.dims ~n_rows:input.n_rows ~width:input.width
     ~cells:input.cells ~slots:input.slots ~blockages:input.blockages ()
 
-let channel_segments router ~channel =
+let channel_segments router =
   let to_seg (cn : Router.chan_net) =
     { Channel_router.seg_net = cn.Router.cn_net;
       seg_lo = cn.Router.cn_lo;
@@ -55,7 +55,7 @@ let channel_segments router ~channel =
           cn.Router.cn_pins;
       seg_width = cn.Router.cn_pitch }
   in
-  List.map to_seg (Router.channel_nets router ~channel)
+  Array.map (List.map to_seg) (Router.channel_nets router)
 
 type algorithm = Concurrent_edge_deletion | Sequential_net_at_a_time
 type channel_algorithm = Left_edge | Left_edge_biased | Greedy
@@ -123,7 +123,7 @@ let finish ?(channel_algorithm = Left_edge) ?on_quality prep router run_report =
     Obs.Trace.span "flow:channel_route"
       ~attrs:[ ("channels", Obs.Trace.Int n_channels) ]
       (fun () ->
-        Array.init n_channels (fun channel -> route_channel (channel_segments router ~channel)))
+        Array.map route_channel (channel_segments router))
   in
   (let dens = Router.density router in
    for channel = 0 to n_channels - 1 do

@@ -87,6 +87,10 @@ val run :
 val floorplan_of_input : input -> Floorplan.t
 (** The pre-insertion floorplan (for inspection and examples). *)
 
+val channel_segments : Router.t -> Channel_router.seg list array
+(** The channel router's input for every channel, from the router's
+    current trees ({!Router.channel_nets}), indexed by channel. *)
+
 (** {1 Split entry points}
 
     {!run} = {!prepare} + [Router.run] + {!finish}.  The split exists

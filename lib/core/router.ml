@@ -125,7 +125,7 @@ type t = {
   mutable nets : net_state array;
   opts : options;
   hpwl_cap : float array;
-  mutable jog_um : float array;
+  jog_um : float array;
       (* Expected in-channel vertical jog per connection point, per
          channel.  The global router cannot see detailed track
          positions, but the delay measured after channel routing
@@ -514,6 +514,9 @@ let delay_key t ns eid =
           gl := !gl +. penalty lm pc.Path_constraint.limit_ps -. penalty m pc.Path_constraint.limit_ps
         in
         List.iter on_constraint cons;
+        (* The comparison chain orders keys with [Float.compare], under
+           which NaN would sort below every number. *)
+        assert (not (Float.is_nan !gl || Float.is_nan !ld));
         ev.ev_cd <- !cd;
         ev.ev_gl <- !gl;
         ev.ev_ld <- !ld;
@@ -550,25 +553,21 @@ type leaf = {
   l_hi : int;
 }
 
-let float_cmp a b =
-  let eps = 1e-9 in
-  if a < b -. eps then -1 else if a > b +. eps then 1 else 0
-
 let compare_delay a b =
   let k1 = a.l_ev and k2 = b.l_ev in
   let c = Int.compare k1.ev_cd k2.ev_cd in
   if c <> 0 then c
   else begin
-    let c = float_cmp k1.ev_gl k2.ev_gl in
-    if c <> 0 then c else float_cmp k1.ev_ld k2.ev_ld
+    let c = Float.compare k1.ev_gl k2.ev_gl in
+    if c <> 0 then c else Float.compare k1.ev_ld k2.ev_ld
   end
 
 let compare_cd_only a b = Int.compare a.l_ev.ev_cd b.l_ev.ev_cd
 
 let compare_gl_ld a b =
   let k1 = a.l_ev and k2 = b.l_ev in
-  let c = float_cmp k1.ev_gl k2.ev_gl in
-  if c <> 0 then c else float_cmp k1.ev_ld k2.ev_ld
+  let c = Float.compare k1.ev_gl k2.ev_gl in
+  if c <> 0 then c else Float.compare k1.ev_ld k2.ev_ld
 
 let compare_density a b =
   if a.l_trunk && not b.l_trunk then -1
@@ -588,7 +587,7 @@ let compare_density a b =
   end
 
 (* Longer edge preferred. *)
-let compare_length a b = float_cmp b.l_len a.l_len
+let compare_length a b = Float.compare b.l_len a.l_len
 
 (* The two Sec. 3.4 comparison chains, with the criterion names the
    deletions-by-criterion counter reports. *)
@@ -965,11 +964,14 @@ let fresh_net_state ?jog_cost fp assignment net_id =
 let jog_cost_of t channel = t.jog_um.(channel)
 
 (* Callers refresh the STA for the rebuilt nets. *)
+let install_net_state t ns =
+  register_net_density t ns;
+  refresh_tree ~refresh:false t ns
+
 let init_net_state t net_id =
   let ns = fresh_net_state ~jog_cost:(jog_cost_of t) t.fp t.assignment net_id in
   t.nets.(net_id) <- ns;
-  register_net_density t ns;
-  refresh_tree ~refresh:false t ns
+  install_net_state t ns
 
 let recognize_pair t n p =
   let ns = t.nets.(n) and pns = t.nets.(p) in
@@ -983,21 +985,55 @@ let recognize_pair t n p =
     Array.iteri (fun ea eb -> if eb >= 0 then rev.(eb) <- ea) emap;
     pns.partner_map <- rev
 
-(* Rebuild every net's candidate graph from scratch (density and
-   tentative tree included), recognize the differential pairs again and
-   refresh the timing state. *)
-let reinit_all_nets t =
+(* Recognize every differential pair, then refresh the timing state. *)
+let recognize_all_pairs t =
   let netlist = Floorplan.netlist t.fp in
-  Array.iter (fun ns -> unregister_net_density t ns) t.nets;
-  for net = 0 to Array.length t.nets - 1 do
-    init_net_state t net
-  done;
   for net = 0 to Array.length t.nets - 1 do
     match (Netlist.net netlist net).Netlist.diff_partner with
     | Some p when p > net -> recognize_pair t net p
     | Some _ | None -> ()
   done;
   match t.sta with Some sta -> Sta.refresh sta | None -> ()
+
+(* Rebuild every net's candidate graph from scratch (density and
+   tentative tree included), recognize the differential pairs again and
+   refresh the timing state. *)
+let reinit_all_nets t =
+  Array.iter (fun ns -> unregister_net_density t ns) t.nets;
+  for net = 0 to Array.length t.nets - 1 do
+    init_net_state t net
+  done;
+  recognize_all_pairs t
+
+(* Expected in-channel jog per connection point: the expected final
+   channel depth is roughly half the candidate-graph density (about half
+   of all candidate trunks get deleted), and a pin's expected descent is
+   half of that again.  The density is taken over zero-jog candidate
+   graphs.  Only [C_M] is read, and [d_M] counts every live trunk
+   whether or not it is a bridge, so the pass builds the graphs alone:
+   no bridges, candidate lists or per-edge evaluation records.  All
+   graphs are built before any is counted: counting each as it was built
+   measured a higher peak resident set over the whole route (the major
+   heap grows less here and then more during routing and metrology). *)
+let jog_estimate fp assignment =
+  let n_channels = Floorplan.n_channels fp in
+  let dens = Density.create ~n_channels ~width:(Floorplan.width fp) in
+  let graphs =
+    Array.init (Netlist.n_nets (Floorplan.netlist fp)) (fun net ->
+        let rg = Routing_graph.build fp assignment ~net in
+        Routing_graph.prune_dangling rg ~on_delete:(fun _ -> ());
+        rg)
+  in
+  Array.iter
+    (fun rg ->
+      Ugraph.iter_edges rg.Routing_graph.graph (fun e ->
+          match Routing_graph.edge_kind rg e.Ugraph.id with
+          | Routing_graph.Trunk { channel; span } ->
+            Density.add_trunk dens ~channel ~span ~w:rg.Routing_graph.pitch ~bridge:false
+          | Routing_graph.Branch _ | Routing_graph.Correspondence _ -> ()))
+    graphs;
+  Array.init n_channels (fun c ->
+      0.25 *. float_of_int (Density.cM dens ~channel:c) *. (Floorplan.dims fp).Dims.track_um)
 
 let create ?(options = default_options) fp assignment sta =
   let netlist = Floorplan.netlist fp in
@@ -1017,10 +1053,10 @@ let create ?(options = default_options) fp assignment sta =
       assignment;
       sta;
       dens = Density.create ~n_channels:(Floorplan.n_channels fp) ~width:(Floorplan.width fp);
-      nets = Array.init n_nets (fun net -> fresh_net_state fp assignment net);
+      nets = [||];
       opts = options;
       hpwl_cap = Array.init n_nets (fun net -> hpwl_cap_of_net fp net);
-      jog_um = Array.make (Floorplan.n_channels fp) 0.0;
+      jog_um = jog_estimate fp assignment;
       deletions = 0;
       del_hash = 0;
       area_mode = options.area_first_ordering;
@@ -1032,17 +1068,11 @@ let create ?(options = default_options) fp assignment sta =
       q_crit = Hashtbl.create 8;
       q_unsampled = 0 }
   in
-  Array.iter (fun ns -> register_net_density t ns) t.nets;
-  (* Expected final channel depth is roughly half the candidate-graph
-     density (about half of all candidate trunks get deleted); a pin's
-     expected descent is half of that again.  The estimate is derived
-     from a zero-jog candidate pass, then every routing graph is
-     rebuilt with the jog surcharge priced into its correspondence and
-     branch edge weights. *)
-  t.jog_um <-
-    Array.init (Floorplan.n_channels fp) (fun c ->
-        0.25 *. float_of_int (Density.cM t.dens ~channel:c) *. (Floorplan.dims fp).Dims.track_um);
-  reinit_all_nets t;
+  (* Every routing graph is built with the jog surcharge priced into its
+     correspondence and branch edge weights. *)
+  t.nets <- Array.init n_nets (fun net -> fresh_net_state ~jog_cost:(jog_cost_of t) fp assignment net);
+  Array.iter (install_net_state t) t.nets;
+  recognize_all_pairs t;
   t
 
 (* --- phases ----------------------------------------------------------- *)
@@ -1494,32 +1524,48 @@ type chan_net = {
   cn_pitch : int;
 }
 
-let channel_nets t ~channel =
+(* One pass over the nets fills every channel: per net, the channels its
+   tree touches accumulate their span and pins in tree-edge order, then
+   each is appended to its channel's list, so every list comes out in
+   net order. *)
+let channel_nets t =
   let netlist = Floorplan.netlist t.fp in
-  let out = ref [] in
+  let n_channels = Floorplan.n_channels t.fp in
+  let out = Array.make n_channels [] in
+  let lo = Array.make n_channels max_int and hi = Array.make n_channels min_int in
+  let pins = Array.make n_channels [] and seen = Array.make n_channels false in
+  let touched = ref [] in
+  let visit c =
+    if not seen.(c) then begin
+      seen.(c) <- true;
+      touched := c :: !touched
+    end
+  in
+  let touch c x =
+    visit c;
+    if x < lo.(c) then lo.(c) <- x;
+    if x > hi.(c) then hi.(c) <- x
+  in
+  let add_pin c x from_top =
+    if c >= 0 && c < n_channels then begin
+      touch c x;
+      pins.(c) <- { cp_x = x; cp_from_top = from_top } :: pins.(c)
+    end
+  in
   let on_net n ns =
-    let lo = ref max_int and hi = ref min_int in
-    let pins = ref [] in
-    let touch x =
-      if x < !lo then lo := x;
-      if x > !hi then hi := x
-    in
-    let add_pin x from_top =
-      touch x;
-      pins := { cp_x = x; cp_from_top = from_top } :: !pins
-    in
     let on_edge eid =
       match Routing_graph.edge_kind ns.rg eid with
-      | Routing_graph.Trunk { channel = c; span } when c = channel ->
-        touch (Interval.lo span);
-        touch (Interval.hi span)
+      | Routing_graph.Trunk { channel = c; span } when c >= 0 && c < n_channels ->
+        touch c (Interval.lo span);
+        touch c (Interval.hi span)
       | Routing_graph.Branch { row; x } ->
         (* Row r sits above channel r: its feedthrough enters channel r
            from the top, channel r+1 from the bottom. *)
-        if row = channel then add_pin x true
-        else if row + 1 = channel then add_pin x false
-      | Routing_graph.Correspondence p when p.Routing_graph.channel = channel -> begin
+        add_pin row x true;
+        add_pin (row + 1) x false
+      | Routing_graph.Correspondence p -> begin
         (* Find which terminal this correspondence serves. *)
+        let c = p.Routing_graph.channel in
         let e = Ugraph.edge ns.rg.Routing_graph.graph eid in
         let term_vertex =
           match ns.rg.Routing_graph.vkind.(e.Ugraph.u) with
@@ -1529,27 +1575,35 @@ let channel_nets t ~channel =
         match ns.rg.Routing_graph.vkind.(term_vertex) with
         | Routing_graph.Terminal (Netlist.Pin pin) ->
           let row = Floorplan.terminal_row t.fp pin in
-          add_pin p.Routing_graph.x (row = channel)
+          add_pin c p.Routing_graph.x (row = c)
         | Routing_graph.Terminal (Netlist.Port q) ->
           let from_top =
             match (Netlist.port netlist q).Netlist.side with
             | Netlist.North -> true
             | Netlist.South -> false
           in
-          add_pin p.Routing_graph.x from_top
+          add_pin c p.Routing_graph.x from_top
         | Routing_graph.Position _ -> assert false
       end
-      | Routing_graph.Trunk _ | Routing_graph.Correspondence _ -> ()
+      | Routing_graph.Trunk _ -> ()
     in
     List.iter on_edge ns.tree;
-    if !pins <> [] || !lo <= !hi then
-      out :=
-        { cn_net = n;
-          cn_lo = !lo;
-          cn_hi = !hi;
-          cn_pins = List.rev !pins;
-          cn_pitch = ns.rg.Routing_graph.pitch }
-        :: !out
+    List.iter
+      (fun c ->
+        if pins.(c) <> [] || lo.(c) <= hi.(c) then
+          out.(c) <-
+            { cn_net = n;
+              cn_lo = lo.(c);
+              cn_hi = hi.(c);
+              cn_pins = List.rev pins.(c);
+              cn_pitch = ns.rg.Routing_graph.pitch }
+            :: out.(c);
+        lo.(c) <- max_int;
+        hi.(c) <- min_int;
+        pins.(c) <- [];
+        seen.(c) <- false)
+      !touched;
+    touched := []
   in
   Array.iteri on_net t.nets;
-  List.rev !out
+  Array.map List.rev out

@@ -314,9 +314,11 @@ type chan_net = {
   cn_pitch : int;
 }
 
-val channel_nets : t -> channel:int -> chan_net list
-(** Per-channel net segments (with their vertical connection points)
-    derived from the final trees — the channel router's input. *)
+val channel_nets : t -> chan_net list array
+(** Net segments (with their vertical connection points) derived from
+    the final trees, indexed by channel, each list in net order — the
+    channel router's input.  One pass over the nets fills every
+    channel. *)
 
 val reroute_net : t -> int -> unit
 (** Rip up and reroute one net (and its recognized differential

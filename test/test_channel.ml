@@ -217,6 +217,81 @@ let prop_pin_bias_preserves_structure =
       && audit biased
       && spans plain = spans biased)
 
+(* Random channels for the reference comparison, built around a VCG
+   cycle: k segments in a ring, segment i pinned from the top at column
+   c_i and from the bottom at c_(i-1), each with up to two extra pins,
+   plus random segments over the same few columns, all shuffled.  So top
+   and bottom pins share columns, spans overlap, widths run 1-3, and
+   most cases need one or more dogleg splits. *)
+let vcg_segs_gen =
+  QCheck.Gen.(
+    let* n_cols = int_range 4 12 in
+    let* k = int_range 2 4 in
+    let* cols = map Array.of_list (shuffle_l (List.init n_cols Fun.id)) in
+    let width = frequency [ (4, return 1); (1, int_range 2 3) ] in
+    let pin = pair (int_range 0 (n_cols - 1)) bool in
+    let ring_seg i =
+      let* extra = list_size (int_range 0 2) pin in
+      let pins = (cols.(i), true) :: (cols.((i + k - 1) mod k), false) :: extra in
+      let xs = List.map fst pins in
+      let* grow_lo = int_range 0 2 and* grow_hi = int_range 0 2 in
+      let lo = max 0 (List.fold_left min max_int xs - grow_lo) in
+      let hi = min (n_cols - 1) (List.fold_left max min_int xs + grow_hi) in
+      let* w = width in
+      return (seg ~w i lo hi pins)
+    in
+    let other_seg j =
+      let* a = int_range 0 (n_cols - 1) and* b = int_range 0 (n_cols - 1) in
+      let lo = min a b and hi = max a b in
+      let* w = width in
+      let* pins = list_size (int_range 0 3) (pair (int_range lo hi) bool) in
+      return (seg ~w (k + j) lo hi pins)
+    in
+    let* ring = flatten_l (List.init k ring_seg) in
+    let* m = int_range 0 8 in
+    let* others = flatten_l (List.init m other_seg) in
+    shuffle_l (ring @ others))
+
+let show_segs segs =
+  String.concat "; "
+    (List.map
+       (fun s ->
+         Printf.sprintf "net %d [%d,%d] w%d pins %s" s.Channel_router.seg_net s.Channel_router.seg_lo
+           s.Channel_router.seg_hi s.Channel_router.seg_width
+           (String.concat ","
+              (List.map
+                 (fun p ->
+                   Printf.sprintf "%d%s" p.Channel_router.pin_x
+                     (if p.Channel_router.pin_from_top then "t" else "b"))
+                 s.Channel_router.seg_pins)))
+       segs)
+
+(* The router against its slow reference: structurally equal results,
+   list order included, or the same non-convergence error. *)
+let agrees ~pin_bias segs =
+  let outcome route =
+    match route segs with r -> Ok r | exception Bgr_error.Error e -> Error (Bgr_error.to_string e)
+  in
+  outcome (Channel_router.route ~pin_bias) = outcome (Ref_channel_router.route ~pin_bias)
+
+let prop_matches_reference =
+  QCheck.Test.make ~name:"cached vcg: same result as the reference router" ~count:600
+    (QCheck.make ~print:show_segs vcg_segs_gen)
+    (fun segs -> agrees ~pin_bias:false segs && agrees ~pin_bias:true segs)
+
+(* The property is only as good as its inputs: on a fixed sample the
+   generator must produce single and repeated dogleg splits.  It cannot
+   produce a force-broken edge: a piece on a VCG cycle has its in-edge
+   and its out-edge at two different columns (one column yields at most
+   one edge), so [break_cycle] always finds a piece to split. *)
+let test_reference_cases_split () =
+  let cases = QCheck.Gen.generate ~rand:(Random.State.make [| 29 |]) ~n:200 vcg_segs_gen in
+  let doglegs = List.map (fun segs -> (Ref_channel_router.route segs).Channel_router.doglegs) cases in
+  check_bool "some cases split once" true (List.mem 1 doglegs);
+  check_bool "some cases split three times or more" true (List.exists (fun d -> d >= 3) doglegs);
+  check_bool "no case force-breaks an edge" true
+    (List.for_all (fun segs -> (Ref_channel_router.route segs).Channel_router.violations = 0) cases)
+
 let test_pin_bias_moves_top_heavy_up () =
   (* Two independent nets: one all-top pins, one all-bottom; with the
      bias the top-heavy one must take the upper track. *)
@@ -244,6 +319,8 @@ let suite =
     Alcotest.test_case "multi-pitch tracks" `Quick test_multipitch_tracks;
     Alcotest.test_case "vertical lengths" `Quick test_vertical_lengths;
     Alcotest.test_case "degenerate point" `Quick test_degenerate_point_segment;
-    QCheck_alcotest.to_alcotest prop_random_channels ]
+    QCheck_alcotest.to_alcotest prop_random_channels;
+    QCheck_alcotest.to_alcotest prop_matches_reference;
+    Alcotest.test_case "reference comparison reaches doglegs" `Quick test_reference_cases_split ]
 
 let () = Alcotest.run "channel" [ ("channel", suite) ]

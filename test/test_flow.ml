@@ -46,23 +46,10 @@ let test_channel_results_audit () =
   let case = Suite.mini () in
   let outcome = Flow.run case.Suite.input in
   (* Re-derive every channel's segments and audit the routing. *)
-  let router = outcome.Flow.o_router in
+  let segs_of = Flow.channel_segments outcome.Flow.o_router in
   Array.iteri
     (fun channel (r : Channel_router.result) ->
-      let segs =
-        List.map
-          (fun (cn : Router.chan_net) ->
-            { Channel_router.seg_net = cn.Router.cn_net;
-              seg_lo = cn.Router.cn_lo;
-              seg_hi = cn.Router.cn_hi;
-              seg_pins =
-                List.map
-                  (fun (p : Router.chan_pin) ->
-                    { Channel_router.pin_x = p.Router.cp_x; pin_from_top = p.Router.cp_from_top })
-                  cn.Router.cn_pins;
-              seg_width = cn.Router.cn_pitch })
-          (Router.channel_nets router ~channel)
-      in
+      let segs = segs_of.(channel) in
       match Channel_router.check segs r with
       | Ok _ -> ()
       | Error problems ->

@@ -54,26 +54,10 @@ let audit_outcome input (outcome : Flow.outcome) =
        (Util.recount_density router fp)
        ~n_channels:(Floorplan.n_channels fp) ~width:(Floorplan.width fp)
   (* 3. every channel's detailed routing audits clean *)
-  && Array.for_all Fun.id
-       (Array.mapi
-          (fun channel (r : Channel_router.result) ->
-            let segs =
-              List.map
-                (fun (cn : Router.chan_net) ->
-                  { Channel_router.seg_net = cn.Router.cn_net;
-                    seg_lo = cn.Router.cn_lo;
-                    seg_hi = cn.Router.cn_hi;
-                    seg_pins =
-                      List.map
-                        (fun (p : Router.chan_pin) ->
-                          { Channel_router.pin_x = p.Router.cp_x;
-                            pin_from_top = p.Router.cp_from_top })
-                        cn.Router.cn_pins;
-                    seg_width = cn.Router.cn_pitch })
-                (Router.channel_nets router ~channel)
-            in
-            match Channel_router.check segs r with Ok _ -> true | Error _ -> false)
-          outcome.Flow.o_channels)
+  && Array.for_all2
+       (fun segs (r : Channel_router.result) ->
+         match Channel_router.check segs r with Ok _ -> true | Error _ -> false)
+       (Flow.channel_segments router) outcome.Flow.o_channels
   (* 4. sane measurement *)
   && outcome.Flow.o_measurement.Flow.m_area_mm2 > 0.0
   && outcome.Flow.o_measurement.Flow.m_length_mm > 0.0

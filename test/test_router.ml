@@ -209,8 +209,10 @@ let test_channel_nets_cover_trees () =
   let router, fp = build_router input in
   ignore (Router.run router);
   (* Every tree trunk must appear in its channel's segment list. *)
+  let all = Router.channel_nets router in
+  check_int "one list per channel" (Floorplan.n_channels fp) (Array.length all);
   for channel = 0 to Floorplan.n_channels fp - 1 do
-    let segs = Router.channel_nets router ~channel in
+    let segs = all.(channel) in
     let by_net = Hashtbl.create 16 in
     List.iter (fun (cn : Router.chan_net) -> Hashtbl.replace by_net cn.Router.cn_net cn) segs;
     for net = 0 to Netlist.n_nets input.Flow.netlist - 1 do
@@ -309,6 +311,76 @@ let test_eco_recovery () =
     check_bool "still fully routed" true (Router.is_routed router);
     check_bool "verifier still signs off" true (Verify.ok (Verify.routed router))
 
+(* The per-channel walk that [Router.channel_nets] replaced, kept as
+   its reference: every net's tree is scanned once for each channel. *)
+let ref_channel_nets router ~channel =
+  let fp = Router.floorplan router in
+  let netlist = Floorplan.netlist fp in
+  let out = ref [] in
+  for n = 0 to Netlist.n_nets netlist - 1 do
+    let rg = Router.routing_graph router n in
+    let lo = ref max_int and hi = ref min_int in
+    let pins = ref [] in
+    let touch x =
+      if x < !lo then lo := x;
+      if x > !hi then hi := x
+    in
+    let add_pin x from_top =
+      touch x;
+      pins := { Router.cp_x = x; cp_from_top = from_top } :: !pins
+    in
+    let on_edge eid =
+      match Routing_graph.edge_kind rg eid with
+      | Routing_graph.Trunk { channel = c; span } when c = channel ->
+        touch (Interval.lo span);
+        touch (Interval.hi span)
+      | Routing_graph.Branch { row; x } ->
+        if row = channel then add_pin x true else if row + 1 = channel then add_pin x false
+      | Routing_graph.Correspondence p when p.Routing_graph.channel = channel -> begin
+        let e = Ugraph.edge rg.Routing_graph.graph eid in
+        let term_vertex =
+          match rg.Routing_graph.vkind.(e.Ugraph.u) with
+          | Routing_graph.Terminal _ -> e.Ugraph.u
+          | Routing_graph.Position _ -> e.Ugraph.v
+        in
+        match rg.Routing_graph.vkind.(term_vertex) with
+        | Routing_graph.Terminal (Netlist.Pin pin) ->
+          add_pin p.Routing_graph.x (Floorplan.terminal_row fp pin = channel)
+        | Routing_graph.Terminal (Netlist.Port q) ->
+          add_pin p.Routing_graph.x ((Netlist.port netlist q).Netlist.side = Netlist.North)
+        | Routing_graph.Position _ -> assert false
+      end
+      | Routing_graph.Trunk _ | Routing_graph.Correspondence _ -> ()
+    in
+    List.iter on_edge (Router.tree_edges router n);
+    if !pins <> [] || !lo <= !hi then
+      out :=
+        { Router.cn_net = n;
+          cn_lo = !lo;
+          cn_hi = !hi;
+          cn_pins = List.rev !pins;
+          cn_pitch = rg.Routing_graph.pitch }
+        :: !out
+  done;
+  List.rev !out
+
+let test_channel_nets_match_reference () =
+  let check_case name input ~timing =
+    let router, fp = build_router ~timing input in
+    ignore (Router.run router);
+    let all = Router.channel_nets router in
+    for channel = 0 to Floorplan.n_channels fp - 1 do
+      check_bool
+        (Printf.sprintf "%s channel %d equals the per-channel walk" name channel)
+        true
+        (all.(channel) = ref_channel_nets router ~channel)
+    done
+  in
+  check_case "MINI" (mini_input ()) ~timing:true;
+  check_case "MINI -u" (mini_input ()) ~timing:false;
+  let c1 = (Suite.make_case ~circuit:"C1" ~placement:Placement.P2).Suite.input in
+  check_case "C1P2" c1 ~timing:true
+
 let suite =
   [ Alcotest.test_case "initial routing invariants" `Quick test_initial_route_invariants;
     Alcotest.test_case "ECO recovery" `Quick test_eco_recovery;
@@ -324,6 +396,8 @@ let suite =
     Alcotest.test_case "reroute_net invariants" `Quick test_reroute_net_preserves_invariants;
     Alcotest.test_case "unconstrained mode" `Quick test_unconstrained_mode;
     Alcotest.test_case "star estimator" `Quick test_star_estimator;
-    Alcotest.test_case "channel segments cover trees" `Quick test_channel_nets_cover_trees ]
+    Alcotest.test_case "channel segments cover trees" `Quick test_channel_nets_cover_trees;
+    Alcotest.test_case "one-pass channel segments match the per-channel walk" `Quick
+      test_channel_nets_match_reference ]
 
 let () = Alcotest.run "router" [ ("router", suite) ]

@@ -17,10 +17,6 @@
    criterion label the engine counted in [bgr_deletions_total] must be
    the label of the oracle's winner against its runner-up. *)
 
-let float_cmp a b =
-  let eps = 1e-9 in
-  if a < b -. eps then -1 else if a > b +. eps then 1 else 0
-
 let penalty x limit = if x >= 0.0 then 1.0 -. (x /. limit) else exp (Float.min 50.0 (-.x /. limit))
 
 type key = {
@@ -139,15 +135,15 @@ let cmp_delay a b =
   let c = Int.compare a.cd b.cd in
   if c <> 0 then c
   else begin
-    let c = float_cmp a.gl b.gl in
-    if c <> 0 then c else float_cmp a.ld b.ld
+    let c = Float.compare a.gl b.gl in
+    if c <> 0 then c else Float.compare a.ld b.ld
   end
 
 let cmp_cd a b = Int.compare a.cd b.cd
 
 let cmp_gl_ld a b =
-  let c = float_cmp a.gl b.gl in
-  if c <> 0 then c else float_cmp a.ld b.ld
+  let c = Float.compare a.gl b.gl in
+  if c <> 0 then c else Float.compare a.ld b.ld
 
 let cmp_density a b =
   if a.trunk && not b.trunk then -1
@@ -158,7 +154,7 @@ let cmp_density a b =
       0
       [ (fun k -> k.f_m); (fun k -> k.n_m); (fun k -> k.f_big); (fun k -> k.n_big) ]
 
-let cmp_length a b = float_cmp b.len a.len
+let cmp_length a b = Float.compare b.len a.len
 
 let chain ~area_mode =
   if area_mode then
