@@ -34,7 +34,9 @@ type result = {
   tracks : int;  (** channel height in tracks *)
   pieces : piece list;
   doglegs : int;  (** splits introduced *)
-  violations : int;  (** vertical constraints force-broken (should be 0) *)
+  violations : int;
+      (** vertical constraints force-broken: always 0 from {!route},
+          which splits every cycle; {!Greedy_router} can report some *)
   net_vertical_tracks : (int * float) list;
       (** per net: vertical wiring inside the channel, in track units —
           each pin descends from its channel edge to its piece's track

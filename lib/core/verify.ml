@@ -130,6 +130,31 @@ type audit = {
 
 let audit_ok a = a.findings = []
 
+let tree_path_lengths g ~source tree =
+  let adj = Array.make (Ugraph.n_vertices g) [] in
+  List.iter
+    (fun eid ->
+      if Ugraph.is_live g eid then begin
+        let e = Ugraph.edge g eid in
+        adj.(e.Ugraph.u) <- e :: adj.(e.Ugraph.u);
+        adj.(e.Ugraph.v) <- e :: adj.(e.Ugraph.v)
+      end)
+    tree;
+  let len = Array.make (Ugraph.n_vertices g) infinity in
+  let rec visit u =
+    List.iter
+      (fun e ->
+        let v = Ugraph.other_endpoint e u in
+        if len.(v) = infinity then begin
+          len.(v) <- len.(u) +. e.Ugraph.weight;
+          visit v
+        end)
+      adj.(u)
+  in
+  len.(source) <- 0.0;
+  visit source;
+  len
+
 (* The invariant sweep behind resume: unlike {!routed} it accepts any
    consistent routing state (candidate edges may remain mid-run) and
    checks that every piece of *derived* state agrees with the primal
@@ -193,14 +218,34 @@ let rec audit ?(repair = false) ?(measured_caps = false) router =
       derived_damage := true;
       finding "net %d: %d tentative-tree edges are dead" net (List.length dead)
     end
-    else if opts.Router.cl_estimator = Router.Tentative_tree && opts.Router.delay_model = Router.Lumped_c
-    then begin
-      let expected = Routing_graph.tree_capacitance rg ~edge_ids:tree in
-      let recorded = (Router.wire_caps router).(net) in
-      if abs_float (expected -. recorded) > 1e-6 then begin
+    else begin
+      (* Each terminal's path in the tree is a shortest path of the live
+         graph: a deletion off the tree changes no distance, and one on
+         it rebuilds the tree. *)
+      let source = rg.Routing_graph.driver in
+      let along = tree_path_lengths g ~source tree in
+      let off =
+        List.filter
+          (fun v ->
+            match Dijkstra.tree_length g ~source ~targets:[ v ] with
+            | Some dist -> abs_float (along.(v) -. dist) > 1e-6
+            | None -> false)
+          rg.Routing_graph.terminals
+      in
+      if off <> [] then begin
         derived_damage := true;
-        finding "net %d: recorded CL %.3f fF differs from tree capacitance %.3f fF" net recorded
-          expected
+        finding "net %d: %d terminals are off a shortest path in the tentative tree" net
+          (List.length off)
+      end;
+      if opts.Router.cl_estimator = Router.Tentative_tree && opts.Router.delay_model = Router.Lumped_c
+      then begin
+        let expected = Routing_graph.tree_capacitance rg ~edge_ids:tree in
+        let recorded = (Router.wire_caps router).(net) in
+        if abs_float (expected -. recorded) > 1e-6 then begin
+          derived_damage := true;
+          finding "net %d: recorded CL %.3f fF differs from tree capacitance %.3f fF" net recorded
+            expected
+        end
       end
     end;
     (* 6. Mirrored pairs: the recognition map must still be a live

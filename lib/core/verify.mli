@@ -56,8 +56,9 @@ val audit : ?repair:bool -> ?measured_caps:bool -> Router.t -> audit
       from-scratch recount over the live graphs;
     - every net graph still spans its terminals (no bridge was ever
       deleted);
-    - every tentative-tree edge is live, and (lumped model) the
-      recorded [CL(n)] equals the tree capacitance;
+    - every tentative-tree edge is live, each terminal's path in the
+      tree is as long as its shortest distance in the live graph, and
+      (lumped model) the recorded [CL(n)] equals the tree capacitance;
     - the delay graph's lumped caps match the recorded [CL(n)], and
       cached constraint margins survive an [Sta.refresh] (margin
       staleness);
@@ -80,3 +81,8 @@ val audit : ?repair:bool -> ?measured_caps:bool -> Router.t -> audit
     done. *)
 
 val pp_audit : Format.formatter -> audit -> unit
+
+val tree_path_lengths : Ugraph.t -> source:int -> int list -> float array
+(** [tree_path_lengths g ~source tree]: per vertex, the length of its
+    path from [source] through the live edges of [tree] (edge ids of a
+    tentative tree), [infinity] where the tree does not reach. *)

@@ -15,7 +15,7 @@
        domain (lock-free CAS) and at dump time;}
     {- {b no influence on routing} — the recorder never reads or
        writes routing state; [deletion_hash] is bit-identical with the
-       recorder on or off (asserted by the bench gate).}}
+       recorder on or off (asserted in test/test_obs.ml).}}
 
     A {e dump} serializes every ring as a CRC-framed [BGRF1] file (see
     docs/FORMATS.md), written on abnormal exits ([Bgr_error]

@@ -202,15 +202,38 @@ let ablation_a3 (case : Suite.case) =
     [ measure "tentative tree (paper, Sec. 3.2)" tree.Flow.o_measurement;
       measure "star / half-perimeter" star.Flow.o_measurement ]
 
+(* Direct model comparison on one routed result: how far the Elmore
+   delays sit above the lumped CL*Td wire delays on the final trees —
+   the quantitative backing for the paper's "wire resistance is rather
+   small" argument. *)
+let rc_vs_lumped_worst (outcome : Flow.outcome) =
+  let router = outcome.Flow.o_router in
+  let fp = outcome.Flow.o_floorplan in
+  let netlist = Floorplan.netlist fp in
+  let dims = Floorplan.dims fp in
+  let worst_ratio = ref 1.0 in
+  for net = 0 to Netlist.n_nets netlist - 1 do
+    let rg = Router.routing_graph router net in
+    let tree = Router.tree_edges router net in
+    let r = Elmore.analyze ~dims ~netlist ~rg ~tree () in
+    let lumped =
+      Routing_graph.tree_capacitance rg ~edge_ids:tree *. Elmore.driver_td netlist rg
+    in
+    if lumped > 1e-9 && r.Elmore.worst_ps /. lumped > !worst_ratio then
+      worst_ratio := r.Elmore.worst_ps /. lumped
+  done;
+  !worst_ratio
+
 let ablation_a4 (case : Suite.case) =
   let lumped = Flow.run ~timing_driven:true case.Suite.input in
   let options = { Router.default_options with Router.delay_model = Router.Elmore_rc } in
   let rc = Flow.run ~options ~timing_driven:true case.Suite.input in
-  ablation_table
-    ~title:
-      (Printf.sprintf "Ablation A4 (%s): delay model during routing" case.Suite.case_name)
-    [ measure "lumped capacitance (paper, Eq. 1)" lumped.Flow.o_measurement;
-      measure "Elmore RC (Sec. 2.1 extension)" rc.Flow.o_measurement ]
+  ( ablation_table
+      ~title:
+        (Printf.sprintf "Ablation A4 (%s): delay model during routing" case.Suite.case_name)
+      [ measure "lumped capacitance (paper, Eq. 1)" lumped.Flow.o_measurement;
+        measure "Elmore RC (Sec. 2.1 extension)" rc.Flow.o_measurement ],
+    rc_vs_lumped_worst lumped )
 
 let ablation_a5 (case : Suite.case) =
   let concurrent = Flow.run case.Suite.input in
@@ -284,25 +307,3 @@ let ablation_a7 () =
             Table.pct (if reference > 1e-12 then skew /. reference *. 100.0 else nan) ])
       [ 1; 2; 4; 8 ]);
   t
-
-(* Direct model comparison on one routed result: how far the Elmore
-   delays sit above the lumped CL*Td wire delays on the final trees —
-   the quantitative backing for the paper's "wire resistance is rather
-   small" argument. *)
-let rc_vs_lumped_worst (outcome : Flow.outcome) =
-  let router = outcome.Flow.o_router in
-  let fp = outcome.Flow.o_floorplan in
-  let netlist = Floorplan.netlist fp in
-  let dims = Floorplan.dims fp in
-  let worst_ratio = ref 1.0 in
-  for net = 0 to Netlist.n_nets netlist - 1 do
-    let rg = Router.routing_graph router net in
-    let tree = Router.tree_edges router net in
-    let r = Elmore.analyze ~dims ~netlist ~rg ~tree () in
-    let lumped =
-      Routing_graph.tree_capacitance rg ~edge_ids:tree *. Elmore.driver_td netlist rg
-    in
-    if lumped > 1e-9 && r.Elmore.worst_ps /. lumped > !worst_ratio then
-      worst_ratio := r.Elmore.worst_ps /. lumped
-  done;
-  !worst_ratio

@@ -1,6 +1,6 @@
 (** The experiment harness regenerating every table and figure of the
-    paper's evaluation (DESIGN.md Sec. 4), shared by `bench/main.exe`
-    and `bin/bgr_run.exe`.
+    paper's evaluation (DESIGN.md Sec. 4), printed by
+    `bin/bgr_run.exe` ([tables], [density], [ablation]).
 
     Absolute numbers differ from the paper (the circuits are synthetic
     stand-ins, the machine is not a SPARCstation 2); the {e shape} —
@@ -65,9 +65,12 @@ val ablation_a1 : Suite.case -> Table.t
 val ablation_a3 : Suite.case -> Table.t
 (** CL estimator: tentative tree (Sec. 3.2) vs. star/half-perimeter. *)
 
-val ablation_a4 : Suite.case -> Table.t
+val ablation_a4 : Suite.case -> Table.t * float
 (** Delay model during routing: lumped capacitance (Eq. 1) vs. the
-    Elmore RC extension. *)
+    Elmore RC extension.  The float is the worst per-net ratio of
+    Elmore wire delay over the lumped [CL*Td] delay on the lumped run's
+    final trees — close to 1 in the bipolar regime, which is the
+    paper's justification for the capacitance-only model. *)
 
 val ablation_a5 : Suite.case -> Table.t
 (** Routing scheme: the paper's concurrent edge deletion vs. a
@@ -87,8 +90,3 @@ val ablation_a7 : unit -> Table.t
 (** Clock pitch width vs. clock skew (Elmore sink-delay spread) — the
     quantitative version of Sec. 4.2's motivation for multi-pitch
     wires. *)
-
-val rc_vs_lumped_worst : Flow.outcome -> float
-(** Worst per-net ratio of Elmore wire delay over the lumped [CL*Td]
-    delay on the final trees — close to 1 in the bipolar regime, which
-    is the paper's justification for the capacitance-only model. *)

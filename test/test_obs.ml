@@ -712,6 +712,51 @@ let test_bit_identity () =
         plain traced)
     [ ("valid_mini.bgr", 1); ("valid_mini.bgr", 4); ("valid_gen.bgr", 1); ("valid_gen.bgr", 4) ]
 
+(* The always-on flight recorder must not steer routing and must stay
+   cheap.  Inertness is exact: MINI and C1P1 route to the same deletion
+   hash with the recorder off and on.  The cost is composed from quiet
+   measurements, since a wall-clock A/B cannot resolve a sub-2 % delta
+   on a short route on a shared machine: the per-event record cost (a
+   tight loop, ring wrap included) times the events one route records,
+   over the route's best wall clock. *)
+let test_recorder_inert_and_cheap () =
+  let options = { Router.default_options with Router.domains = 1 } in
+  let route input =
+    let t = Unix.gettimeofday () in
+    let h = (Flow.run ~options input).Flow.o_measurement.Flow.m_deletion_hash in
+    (Unix.gettimeofday () -. t, h)
+  in
+  let per_event_s =
+    let n = 2_000_000 in
+    let t = Unix.gettimeofday () in
+    for i = 1 to n do
+      Flight.record Flight.k_heartbeat ~a:1 ~b:2 ~c:i ~d:(-7)
+    done;
+    (Unix.gettimeofday () -. t) /. float_of_int n
+  in
+  let reps = 5 in
+  Fun.protect ~finally:(fun () -> Flight.set_enabled true) @@ fun () ->
+  List.iter
+    (fun (name, input) ->
+      Flight.set_enabled false;
+      let _, h_off = route input in
+      Flight.set_enabled true;
+      let before = Flight.recorded () in
+      let best = ref infinity in
+      for _ = 1 to reps do
+        let dt, h_on = route input in
+        best := Float.min !best dt;
+        check_int (name ^ ": recorder on = recorder off") h_off h_on
+      done;
+      let events = (Flight.recorded () - before) / reps in
+      check_bool (name ^ ": a route records events") true (events > 0);
+      let overhead_pct = float_of_int events *. per_event_s /. !best *. 100.0 in
+      Printf.printf "%s: recorder overhead %d events x %.0f ns / %.1f ms = %.3f%%\n" name
+        events (per_event_s *. 1e9) (!best *. 1000.0) overhead_pct;
+      check_bool (name ^ ": recorder overhead < 2 %") true (overhead_pct < 2.0))
+    [ ("MINI", (Suite.mini ()).Suite.input);
+      ("C1P1", (Suite.make_case ~circuit:"C1" ~placement:Placement.P1).Suite.input) ]
+
 let () =
   Alcotest.run "obs"
     [ ( "trace",
@@ -748,5 +793,7 @@ let () =
             test_metrics_atomic_rewrite;
           Alcotest.test_case "double sink install warns" `Quick test_double_sink_install_warns ] );
       ( "determinism",
-        [ Alcotest.test_case "deletion hash identical with tracing on" `Slow test_bit_identity ]
+        [ Alcotest.test_case "deletion hash identical with tracing on" `Slow test_bit_identity;
+          Alcotest.test_case "flight recorder: inert, overhead < 2 %" `Slow
+            test_recorder_inert_and_cheap ]
       ) ]

@@ -8,6 +8,10 @@
    - CL(n) and CL(n) without the edge (tentative trees of the plain
      algorithm in Ref_dijkstra, not the router's kernel).
 
+   After each deletion it also checks the tentative tree of the net it
+   touched: every terminal's path in the installed tree must be a
+   shortest path of the live graph.
+
    It then scans the admissible candidates of the current selection
    round linearly, in the engine's visit order (nets in round order,
    then ascending edge id), keeping the first strictly best one.  The
@@ -230,6 +234,21 @@ let select w dc =
     let crit = match !second with None -> "only_candidate" | Some s -> label ~area_mode b s in
     Some (b.id, crit)
 
+(* The tentative tree of the net a deletion touched: each terminal's
+   path in [Router.tree_edges] must be as long as its fresh shortest
+   distance on the live graph (plain search in Ref_dijkstra). *)
+let check_tree name ~deletion router n =
+  let rg = Router.routing_graph router n in
+  let g = rg.Routing_graph.graph and source = rg.Routing_graph.driver in
+  let fresh = (Ref_dijkstra.shortest_paths g ~source).Ref_dijkstra.dist in
+  let along = Verify.tree_path_lengths g ~source (Router.tree_edges router n) in
+  List.iter
+    (fun v ->
+      if abs_float (along.(v) -. fresh.(v)) > 1e-6 then
+        Alcotest.failf "%s: after deletion %d, net %d terminal %d: tree path %g, shortest %g"
+          name deletion n v along.(v) fresh.(v))
+    rg.Routing_graph.terminals
+
 let m_deletions () = Obs.Metrics.counter "bgr_deletions_total" ~labels:[ "criterion"; "phase" ]
 
 let counted () =
@@ -262,11 +281,12 @@ let run_checked ?(domains = 1) ~timing_driven ~area_first name input =
       let check_pending () =
         match !pending with
         | None -> ()
-        | Some (k, before) ->
+        | Some (k, before, net) ->
           let now = counted () in
           let phase, crit = k in
           if total now <> total before + 1 || count_of now k <> count_of before k + 1 then
-            Alcotest.failf "%s: deletion %d should count as (%s, %s)" name !checked phase crit
+            Alcotest.failf "%s: deletion %d should count as (%s, %s)" name !checked phase crit;
+          check_tree name ~deletion:!checked router net
       in
       Router.set_commit_hook router
         (Some
@@ -279,7 +299,7 @@ let run_checked ?(domains = 1) ~timing_driven ~area_first name input =
                if (n, e) <> (dc.Router.dc_net, dc.Router.dc_edge) then
                  Alcotest.failf "%s: deletion %d (%s): engine chose (%d, %d), oracle (%d, %d)" name
                    !checked dc.Router.dc_phase dc.Router.dc_net dc.Router.dc_edge n e;
-               pending := Some ((dc.Router.dc_phase, crit), counted ()));
+               pending := Some ((dc.Router.dc_phase, crit), counted (), dc.Router.dc_net));
              incr checked));
       ignore (Router.run router);
       check_pending ();

@@ -1123,42 +1123,64 @@ let test_worker_isolation_e2e () =
   checki "no kills" 0 stats.Serve.s_killed;
   checki "completed" 1 stats.Serve.s_completed
 
+(* The chaos mix: every job's first attempt hangs its worker.  Four
+   jobs from two connections, at most two in flight: the watchdog must
+   reap each hung worker, and every retry must still reach the
+   uninterrupted hash. *)
 let test_worker_hang_watchdog () =
   let root = fresh_dir () in
   with_worker_fault_plan "serve.worker.hang:n=1" @@ fun () ->
   let srv =
     start_server ~isolation:(workers_isolation ()) ~heartbeat_timeout_ms:1000.0 root
   in
-  let c = client srv in
-  (match rq c (submit_mini ~name:"hangs" ~wait:true ()) with
-  | Wire.Accepted _ -> (
-    match Serve_client.next_reply ~timeout_s:120.0 c with
-    | Ok (Wire.Result { ok; json; _ }) ->
-      checkb "routed after the watchdog kill" true ok;
-      checki "kill + resume left the hash alone" (Lazy.force mini_hash) (hash_of_json json);
-      (match Option.bind (json_field json "attempts") Qjson.to_int with
-      | Some a -> checki "the second attempt won" 2 a
-      | None -> Alcotest.fail "no attempts field")
-    | _ -> Alcotest.fail "no result")
-  | _ -> Alcotest.fail "not accepted");
-  (* the kill is on the job's record *)
-  (match rq c (Wire.Status { job = Some "hangs" }) with
-  | Wire.Info { json } ->
-    (match Option.bind (json_field json "kills") Qjson.to_int with
-    | Some k -> checki "one kill recorded" 1 k
-    | None -> Alcotest.fail "no kills field");
-    (match Option.bind (json_field json "last_kill") Qjson.to_str with
-    | Some r -> check Alcotest.string "reason" "hang" r
-    | None -> Alcotest.fail "no last_kill field");
-    (match json_field json "kill_history" with
-    | Some (Qjson.Arr [ Qjson.Str r ]) -> check Alcotest.string "history entry" "hang" r
-    | _ -> Alcotest.fail "no kill_history field")
-  | _ -> Alcotest.fail "status");
-  Serve_client.close c;
+  let conns = [ client srv; client srv ] in
+  let jobs = ref [] in
+  for round = 1 to 2 do
+    let names =
+      List.mapi
+        (fun k c ->
+          let name = Printf.sprintf "hangs-%d-%d" round k in
+          (match rq c (submit_mini ~name ~wait:true ()) with
+          | Wire.Accepted _ -> ()
+          | _ -> Alcotest.failf "%s not accepted" name);
+          name)
+        conns
+    in
+    List.iter2
+      (fun name c ->
+        match Serve_client.next_reply ~timeout_s:120.0 c with
+        | Ok (Wire.Result { ok; json; _ }) ->
+          checkb (name ^ " routed after the watchdog kill") true ok;
+          checki (name ^ ": kill + resume left the hash alone") (Lazy.force mini_hash)
+            (hash_of_json json);
+          (match Option.bind (json_field json "attempts") Qjson.to_int with
+          | Some a -> checki (name ^ ": the second attempt won") 2 a
+          | None -> Alcotest.fail "no attempts field")
+        | _ -> Alcotest.failf "%s: no result" name)
+      names conns;
+    jobs := !jobs @ names
+  done;
+  (* each kill is on its job's record *)
+  List.iter
+    (fun name ->
+      match rq (List.hd conns) (Wire.Status { job = Some name }) with
+      | Wire.Info { json } ->
+        (match Option.bind (json_field json "kills") Qjson.to_int with
+        | Some k -> checki (name ^ ": one kill recorded") 1 k
+        | None -> Alcotest.fail "no kills field");
+        (match Option.bind (json_field json "last_kill") Qjson.to_str with
+        | Some r -> check Alcotest.string "reason" "hang" r
+        | None -> Alcotest.fail "no last_kill field");
+        (match json_field json "kill_history" with
+        | Some (Qjson.Arr [ Qjson.Str r ]) -> check Alcotest.string "history entry" "hang" r
+        | _ -> Alcotest.fail "no kill_history field")
+      | _ -> Alcotest.fail "status")
+    !jobs;
+  List.iter Serve_client.close conns;
   let stats = stop_server srv in
-  checki "one worker killed" 1 stats.Serve.s_killed;
-  checki "one retry" 1 stats.Serve.s_retried;
-  checki "completed anyway" 1 stats.Serve.s_completed
+  checki "four workers killed" 4 stats.Serve.s_killed;
+  checki "four retries" 4 stats.Serve.s_retried;
+  checki "four completed anyway" 4 stats.Serve.s_completed
 
 let test_worker_external_kill () =
   let root = fresh_dir () in
@@ -1660,29 +1682,82 @@ let test_submit_progress_flag () =
 
 (* --- stats: the scrapeable registry ------------------------------------ *)
 
+(* Completed-job count in each exposition of the daemon's registry. *)
+let completed_in_json body =
+  let ( let* ) = Option.bind in
+  let named key value j = Option.bind (Qjson.member key j) Qjson.to_str = Some value in
+  match Qjson.parse body with
+  | Error m -> Alcotest.failf "stats json does not parse: %s" m
+  | Ok j ->
+    Option.value ~default:0.0
+      (let* families = Option.bind (Qjson.member "metrics" j) Qjson.to_list in
+       let* jobs = List.find_opt (named "name" "serve_jobs_total") families in
+       let* series = Option.bind (Qjson.member "series" jobs) Qjson.to_list in
+       let* completed =
+         List.find_opt
+           (fun se ->
+             Option.fold ~none:false ~some:(named "outcome" "completed") (Qjson.member "labels" se))
+           series
+       in
+       Option.bind (Qjson.member "value" completed) Qjson.to_float)
+
+let completed_in_prom body =
+  let prefix = "serve_jobs_total{outcome=\"completed\"} " in
+  let n = String.length prefix in
+  String.split_on_char '\n' body
+  |> List.find_map (fun line ->
+         if String.length line > n && String.sub line 0 n = prefix then
+           float_of_string_opt (String.sub line n (String.length line - n))
+         else None)
+  |> Option.value ~default:0.0
+
+(* The stats plane is live: it answers from the registry of a daemon
+   that keeps serving, with no drain in between.  Jobs complete one at a
+   time, and after each completion both expositions count exactly one
+   more completed job. *)
 let test_stats_opcode () =
   let root = fresh_dir () in
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Obs.reset ())
+  @@ fun () ->
   let srv = start_server root in
   let c = client srv in
-  (match rq c (submit_mini ~name:"s" ~wait:true ()) with
-  | Wire.Accepted _ -> (
-    match Serve_client.next_reply ~timeout_s:120.0 c with
-    | Ok (Wire.Result { ok; _ }) -> checkb "routed" true ok
-    | _ -> Alcotest.fail "no result")
-  | _ -> Alcotest.fail "not accepted");
-  (match rq c (Wire.Stats { prom = false }) with
-  | Wire.Rstats { prom; body } ->
-    checkb "json flag echoed" false prom;
-    (match Qjson.parse body with
-    | Ok _ -> ()
-    | Error m -> Alcotest.failf "stats json does not parse: %s" m)
-  | _ -> Alcotest.fail "stats json refused");
-  (match rq c (Wire.Stats { prom = true }) with
-  | Wire.Rstats { prom; body } ->
-    checkb "prom flag echoed" true prom;
-    checkb "text exposition shape" true
-      (String.length body > 0 && body.[0] = '#' && contains body "# TYPE")
-  | _ -> Alcotest.fail "stats prom refused");
+  let scrape () =
+    let json =
+      match rq c (Wire.Stats { prom = false }) with
+      | Wire.Rstats { prom; body } ->
+        checkb "json flag echoed" false prom;
+        completed_in_json body
+      | _ -> Alcotest.fail "stats json refused"
+    in
+    let prom =
+      match rq c (Wire.Stats { prom = true }) with
+      | Wire.Rstats { prom; body } ->
+        checkb "prom flag echoed" true prom;
+        checkb "text exposition shape" true
+          (String.length body > 0 && body.[0] = '#' && contains body "# TYPE");
+        completed_in_prom body
+      | _ -> Alcotest.fail "stats prom refused"
+    in
+    (json, prom)
+  in
+  let json0, prom0 = scrape () in
+  for k = 1 to 3 do
+    (match rq c (submit_mini ~name:(Printf.sprintf "s%d" k) ~wait:true ()) with
+    | Wire.Accepted _ -> (
+      match Serve_client.next_reply ~timeout_s:120.0 c with
+      | Ok (Wire.Result { ok; _ }) -> checkb "routed" true ok
+      | _ -> Alcotest.fail "no result")
+    | _ -> Alcotest.fail "not accepted");
+    let json, prom = scrape () in
+    let want = float_of_int k in
+    check (Alcotest.float 0.0) (Printf.sprintf "json: %d more completed" k) want (json -. json0);
+    check (Alcotest.float 0.0) (Printf.sprintf "prom: %d more completed" k) want (prom -. prom0)
+  done;
   Serve_client.close c;
   ignore (stop_server srv)
 
