@@ -236,13 +236,13 @@ let verdict_table (r : Postmortem.report) =
   (match r.Postmortem.p_job with
   | None -> ()
   | Some j ->
-    add "job" j.Postmortem.j_id;
-    add "attempts" (Table.fint j.Postmortem.j_attempts);
+    add "job" j.Job_manifest.j_id;
+    add "attempts" (Table.fint j.Job_manifest.j_attempts);
     add "kills"
-      (if j.Postmortem.j_kills = 0 then "0"
+      (if j.Job_manifest.j_kills = 0 then "0"
        else
-         Printf.sprintf "%d (%s)" j.Postmortem.j_kills
-           (String.concat ", " j.Postmortem.j_kill_history)));
+         Printf.sprintf "%d (%s)" j.Job_manifest.j_kills
+           (String.concat ", " j.Job_manifest.j_kill_history)));
   if r.Postmortem.p_error_code <> "" then add "error code" r.Postmortem.p_error_code;
   add "RESULT present" (if r.Postmortem.p_has_result then "yes" else "no");
   t

@@ -14,16 +14,6 @@ type artifact = {
   a_note : string;
 }
 
-type job = {
-  j_id : string;
-  j_timing_driven : bool;
-  j_deadline_ms : int;
-  j_attempts : int;
-  j_kills : int;
-  j_last_kill : string;
-  j_kill_history : string list;
-}
-
 type report = {
   p_dir : string;
   p_verdict : string;
@@ -37,7 +27,7 @@ type report = {
   p_flight_file : string;
   p_journal : Journal.read_result option;
   p_qlog : Qlog.read_result option;
-  p_job : job option;
+  p_job : Job_manifest.job option;
   p_error_code : string;
   p_has_result : bool;
   p_artifacts : artifact list;
@@ -46,14 +36,7 @@ type report = {
 (* --- raw file access --------------------------------------------------- *)
 
 let read_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | s -> Some s
-  | exception Sys_error _ -> None
+  try Some (In_channel.with_open_bin path In_channel.input_all) with Sys_error _ -> None
 
 let file_bytes path = match Unix.stat path with
   | st -> st.Unix.st_size
@@ -65,40 +48,6 @@ let list_dir dir =
     let l = Array.to_list entries in
     List.sort compare l
   | exception Sys_error _ -> []
-
-(* --- the spool JOB manifest, minimally --------------------------------- *)
-
-(* This library must stay below the serving layer, so the [bgr-job 1]
-   key-value format (docs/FORMATS.md) is re-read here with a parser
-   that extracts only what forensics needs and shrugs at the rest. *)
-let parse_job s =
-  let kv =
-    String.split_on_char '\n' s
-    |> List.filter_map (fun l ->
-           let l = String.trim l in
-           if l = "" then None
-           else
-             match String.index_opt l ' ' with
-             | None -> None
-             | Some i ->
-               Some (String.sub l 0 i, String.trim (String.sub l i (String.length l - i))))
-  in
-  match kv with
-  | ("bgr-job", "1") :: _ ->
-    let str k = Option.value (List.assoc_opt k kv) ~default:"" in
-    let int k = Option.value (Option.bind (List.assoc_opt k kv) int_of_string_opt) ~default:0 in
-    Some
-      { j_id = str "id";
-        j_timing_driven = str "timing_driven" = "true";
-        j_deadline_ms = int "deadline_ms";
-        j_attempts = int "attempts";
-        j_kills = int "kills";
-        j_last_kill = str "last_kill";
-        j_kill_history =
-          (match str "kill_history" with
-          | "" -> []
-          | h -> String.split_on_char ',' h) }
-  | _ -> None
 
 (* --- flight-dump discovery --------------------------------------------- *)
 
@@ -167,7 +116,7 @@ let in_phase phase = match phase with "" -> "unknown" | p -> p
 
 let classify ~job ~events ~flight ~journal ~error_code ~completed ~last_phase ~deletions =
   let phase = in_phase last_phase in
-  let last_kill = match job with Some j -> j.j_last_kill | None -> "" in
+  let last_kill = match job with Some j -> j.Job_manifest.j_last_kill | None -> "" in
   let flight_reason = match flight with Some (d : Flight.dump) -> d.Flight.f_reason | None -> "" in
   let starts p s = String.length s >= String.length p && String.sub s 0 (String.length p) = p in
   let stop = last_of (fun e -> e.Flight.e_kind = Flight.k_stop) events in
@@ -318,15 +267,15 @@ let analyze ~dir =
       match read_file (dir / "JOB") with
       | None -> None
       | Some s -> (
-        match parse_job s with
-        | Some j ->
-          if j.j_kills > 0 then
+        match Job_manifest.parse_job ~file:(dir / "JOB") s with
+        | Ok j ->
+          if j.Job_manifest.j_kills > 0 then
             note "the worker was killed %d time%s (%s)" j.j_kills
               (if j.j_kills = 1 then "" else "s")
               (String.concat ", " j.j_kill_history);
           Some j
-        | None ->
-          note "JOB manifest did not parse";
+        | Error e ->
+          note "JOB manifest did not parse: %s" (Bgr_error.to_string e);
           None)
     in
     (* RESULT / ERROR verdicts *)
@@ -538,9 +487,9 @@ let to_json r =
         | None -> Qjson.Null
         | Some j ->
           Qjson.Obj
-            [ ("id", Qjson.Str j.j_id);
+            [ ("id", Qjson.Str j.Job_manifest.j_id);
               ("timing_driven", Qjson.Bool j.j_timing_driven);
-              ("deadline_ms", Qjson.int j.j_deadline_ms);
+              ("deadline_ms", Qjson.int (Option.value j.j_deadline_ms ~default:0));
               ("attempts", Qjson.int j.j_attempts);
               ("kills", Qjson.int j.j_kills);
               ("last_kill", Qjson.Str j.j_last_kill);

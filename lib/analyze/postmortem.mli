@@ -8,10 +8,9 @@
     The analyzer is deliberately forgiving: any artifact may be
     missing, torn or unparseable, and each such condition becomes a
     {e finding} rather than an error.  Only a directory that does not
-    exist is an [Error].  It reads the spool [JOB] manifest with its
-    own minimal parser (this library must not depend on the serving
-    layer), accepting the [bgr-job 1] key-value format documented in
-    docs/FORMATS.md. *)
+    exist is an [Error].  The spool [JOB] manifest is read with
+    {!Job_manifest.parse_job}, the serving layer's own reader; a
+    manifest it rejects is a finding that carries the parse error. *)
 
 (** One artifact the analyzer looked for. *)
 type artifact = {
@@ -20,17 +19,6 @@ type artifact = {
   a_present : bool;
   a_bytes : int;  (** 0 when absent *)
   a_note : string;  (** salvage or parse note; [""] when clean *)
-}
-
-(** The spool [JOB] manifest, minimally parsed. *)
-type job = {
-  j_id : string;
-  j_timing_driven : bool;
-  j_deadline_ms : int;
-  j_attempts : int;
-  j_kills : int;
-  j_last_kill : string;  (** [""] when never killed *)
-  j_kill_history : string list;  (** oldest first *)
 }
 
 type report = {
@@ -51,7 +39,7 @@ type report = {
   p_flight_file : string;  (** [""] when no dump was found *)
   p_journal : Journal.read_result option;
   p_qlog : Qlog.read_result option;
-  p_job : job option;  (** present only for spool job directories *)
+  p_job : Job_manifest.job option;  (** present only for spool job directories *)
   p_error_code : string;  (** [code] member of [ERROR]; [""] when none *)
   p_has_result : bool;  (** a [RESULT] verdict file exists *)
   p_artifacts : artifact list;

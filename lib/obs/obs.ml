@@ -87,30 +87,6 @@ let assert_orchestrator ~what =
       what
 
 (* ------------------------------------------------------------------ *)
-(* JSON helpers (shared by both sinks and the metrics JSON summary)   *)
-(* ------------------------------------------------------------------ *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let json_float v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
-  else Printf.sprintf "%.9g" v
-
-(* ------------------------------------------------------------------ *)
 (* Tracer                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -120,7 +96,7 @@ module Trace = struct
   let attr_to_string = function
     | Str s -> s
     | Int i -> string_of_int i
-    | Float f -> json_float f
+    | Float f -> Qjson.to_string (Qjson.num f)
     | Bool b -> string_of_bool b
 
   type span = {
@@ -235,50 +211,50 @@ module Trace = struct
   let to_jsonl_file path = open_sink jsonl_sink ~what:"jsonl" ~path ~header:""
 
   let close_sinks () =
-    (match !chrome_sink with
-    | Some sk ->
-        sink_guard chrome_sink (fun sk -> output_string sk.sk_oc "\n]\n");
-        (match !chrome_sink with
-        | Some _ ->
-            (try close_out sk.sk_oc
-             with Sys_error m -> warn "closing chrome trace sink: %s" m);
-            chrome_sink := None
-        | None -> ())
-    | None -> ());
-    match !jsonl_sink with
-    | Some sk ->
-        (try close_out sk.sk_oc
-         with Sys_error m -> warn "closing jsonl trace sink: %s" m);
-        jsonl_sink := None
-    | None -> ()
+    sink_guard chrome_sink (fun sk -> output_string sk.sk_oc "\n]\n");
+    List.iter
+      (fun slot ->
+        Option.iter
+          (fun sk ->
+            (try close_out sk.sk_oc with Sys_error m -> warn "closing %s trace sink: %s" sk.sk_what m);
+            slot := None)
+          !slot)
+      [ chrome_sink; jsonl_sink ]
 
   (* ---- event emission ---- *)
 
-  let attr_json (k, v) =
-    Printf.sprintf "\"%s\":%s" (json_escape k)
-      (match v with
-      | Str s -> "\"" ^ json_escape s ^ "\""
-      | Int i -> string_of_int i
-      | Float f -> json_float f
-      | Bool b -> string_of_bool b)
+  (* Span times are kept to whole nanoseconds in every sink. *)
+  let us_json v = Qjson.num (Float.round (v *. 1e3) /. 1e3)
 
-  let args_json attrs =
-    match attrs with
-    | [] -> ""
-    | attrs ->
-        Printf.sprintf ",\"args\":{%s}" (String.concat "," (List.map attr_json attrs))
+  let attr_json = function
+    | Str s -> Qjson.Str s
+    | Int i -> Qjson.int i
+    | Float f -> Qjson.num f
+    | Bool b -> Qjson.Bool b
 
-  let chrome_event ~ph ~extra sp =
-    Printf.sprintf
-      "{\"name\":\"%s\",\"cat\":\"bgr\",\"ph\":\"%s\",\"pid\":%d,\"tid\":1,\"ts\":%.3f%s%s}"
-      (json_escape sp.sp_name) ph sp.sp_pid sp.sp_start_us extra (args_json sp.sp_attrs)
+  let args_json = function
+    | [] -> []
+    | attrs -> [ ("args", Qjson.Obj (List.map (fun (k, v) -> (k, attr_json v)) attrs)) ]
+
+  let chrome_event sp =
+    let ph, extra =
+      if sp.sp_dur_us = 0.0 then ("i", ("s", Qjson.Str "t")) else ("X", ("dur", us_json sp.sp_dur_us))
+    in
+    Qjson.to_string
+      (Qjson.Obj
+         ([ ("name", Qjson.Str sp.sp_name); ("cat", Qjson.Str "bgr"); ("ph", Qjson.Str ph);
+            ("pid", Qjson.int sp.sp_pid); ("tid", Qjson.int 1); ("ts", us_json sp.sp_start_us); extra ]
+         @ args_json sp.sp_attrs))
 
   let jsonl_line sp =
-    Printf.sprintf
-      "{\"name\":\"%s\",\"start_us\":%.3f,\"dur_us\":%.3f,\"depth\":%d,\"id\":%d,\"parent\":%d,\"pid\":%d%s}\n"
-      (json_escape sp.sp_name) sp.sp_start_us sp.sp_dur_us sp.sp_depth sp.sp_id
-      sp.sp_parent sp.sp_pid
-      (args_json sp.sp_attrs)
+    Qjson.to_string
+      (Qjson.Obj
+         ([ ("name", Qjson.Str sp.sp_name); ("start_us", us_json sp.sp_start_us);
+            ("dur_us", us_json sp.sp_dur_us); ("depth", Qjson.int sp.sp_depth);
+            ("id", Qjson.int sp.sp_id); ("parent", Qjson.int sp.sp_parent);
+            ("pid", Qjson.int sp.sp_pid) ]
+         @ args_json sp.sp_attrs))
+    ^ "\n"
 
   let emit sp =
     if !completed_n < retained_cap then begin
@@ -286,12 +262,8 @@ module Trace = struct
       incr completed_n
     end;
     sink_guard chrome_sink (fun sk ->
-        let ev =
-          if sp.sp_dur_us = 0.0 then chrome_event ~ph:"i" ~extra:",\"s\":\"t\"" sp
-          else chrome_event ~ph:"X" ~extra:(Printf.sprintf ",\"dur\":%.3f" sp.sp_dur_us) sp
-        in
         if sk.sk_first then sk.sk_first <- false else output_string sk.sk_oc ",\n";
-        output_string sk.sk_oc ev);
+        output_string sk.sk_oc (chrome_event sp));
     sink_guard jsonl_sink (fun sk -> output_string sk.sk_oc (jsonl_line sp))
 
   let rel_us t = (t -. !epoch) *. 1e6
@@ -305,6 +277,11 @@ module Trace = struct
         if List.mem_assoc "trace_id" attrs then attrs
         else attrs @ [ ("trace_id", Str tid) ]
 
+  let record name ~start_us ~dur_us ~depth ~id ~parent attrs =
+    emit
+      { sp_name = name; sp_start_us = start_us; sp_dur_us = dur_us; sp_depth = depth; sp_id = id;
+        sp_parent = parent; sp_pid = !process_pid; sp_attrs = with_trace_id attrs }
+
   let span ?(attrs = []) name f =
     if skip_record () then f ()
     else begin
@@ -317,17 +294,8 @@ module Trace = struct
         ~finally:(fun () ->
           (match !stack with top :: rest when top == sc -> stack := rest | _ -> ());
           let stop = now_s () in
-          emit
-            {
-              sp_name = name;
-              sp_start_us = rel_us sc.sc_start;
-              sp_dur_us = (stop -. sc.sc_start) *. 1e6;
-              sp_depth = depth;
-              sp_id = sc.sc_id;
-              sp_parent = parent;
-              sp_pid = !process_pid;
-              sp_attrs = with_trace_id sc.sc_attrs;
-            })
+          record name ~start_us:(rel_us sc.sc_start) ~dur_us:((stop -. sc.sc_start) *. 1e6) ~depth
+            ~id:sc.sc_id ~parent sc.sc_attrs)
         f
     end
 
@@ -335,17 +303,8 @@ module Trace = struct
     if not (skip_record ()) then begin
       let parent = parent_of_stack () in
       incr span_seq;
-      emit
-        {
-          sp_name = name;
-          sp_start_us = rel_us (now_s ());
-          sp_dur_us = 0.0;
-          sp_depth = List.length !stack;
-          sp_id = !span_seq;
-          sp_parent = parent;
-          sp_pid = !process_pid;
-          sp_attrs = with_trace_id attrs;
-        }
+      record name ~start_us:(rel_us (now_s ())) ~dur_us:0.0 ~depth:(List.length !stack)
+        ~id:!span_seq ~parent attrs
     end
 
   (* A span recorded by another process (already carrying its own id,
@@ -423,6 +382,10 @@ module Metrics = struct
     | Histogram x, Histogram y -> x = y
     | _ -> false
 
+  let fresh_series kind labels =
+    let buckets = match kind with Histogram b -> Array.make (Array.length b + 1) 0 | _ -> [||] in
+    { se_labels = labels; se_value = 0.0; se_buckets = buckets; se_count = 0 }
+
   let register ~help ~labels name kind =
     if not (valid_name name) then
       Bgr_error.raise_error Internal "invalid metric name %S" name;
@@ -452,12 +415,7 @@ module Metrics = struct
         let f = { f_name = name; f_help = help; f_kind = kind; f_labelnames = labels; f_series_rev = [] } in
         (* Unlabelled families pre-create their single series so a
            registered-but-quiet metric still renders a zero sample. *)
-        if labels = [] then begin
-          let buckets =
-            match kind with Histogram b -> Array.make (Array.length b + 1) 0 | _ -> [||]
-          in
-          f.f_series_rev <- [ { se_labels = []; se_value = 0.0; se_buckets = buckets; se_count = 0 } ]
-        end;
+        if labels = [] then f.f_series_rev <- [ fresh_series kind [] ];
         Hashtbl.add registry name f;
         order_rev := name :: !order_rev;
         f
@@ -471,23 +429,18 @@ module Metrics = struct
 
   let find_series f labels =
     let labels = List.sort compare labels in
-    match List.find_opt (fun s -> s.se_labels = labels) f.f_series_rev with
-    | Some s -> Some s
-    | None -> None
+    List.find_opt (fun s -> s.se_labels = labels) f.f_series_rev
 
   let get_series f labels =
-    let labels = List.sort compare labels in
-    match List.find_opt (fun s -> s.se_labels = labels) f.f_series_rev with
+    match find_series f labels with
     | Some s -> s
     | None ->
+        let labels = List.sort compare labels in
         if List.map fst labels <> f.f_labelnames then
           Bgr_error.raise_error Internal "metric %s expects labels {%s}, got {%s}" f.f_name
             (String.concat "," f.f_labelnames)
             (String.concat "," (List.map fst labels));
-        let buckets =
-          match f.f_kind with Histogram b -> Array.make (Array.length b + 1) 0 | _ -> [||]
-        in
-        let s = { se_labels = labels; se_value = 0.0; se_buckets = buckets; se_count = 0 } in
+        let s = fresh_series f.f_kind labels in
         f.f_series_rev <- s :: f.f_series_rev;
         s
 
@@ -548,15 +501,7 @@ module Metrics = struct
   let reset_values () =
     locked @@ fun () ->
     Hashtbl.iter
-      (fun _ f ->
-        let keep_empty = f.f_labelnames = [] in
-        f.f_series_rev <-
-          (if keep_empty then
-             let buckets =
-               match f.f_kind with Histogram b -> Array.make (Array.length b + 1) 0 | _ -> [||]
-             in
-             [ { se_labels = []; se_value = 0.0; se_buckets = buckets; se_count = 0 } ]
-           else []))
+      (fun _ f -> f.f_series_rev <- (if f.f_labelnames = [] then [ fresh_series f.f_kind [] ] else []))
       registry
 
   (* ---- rendering ---- *)
@@ -572,6 +517,12 @@ module Metrics = struct
         | c -> Buffer.add_char b c)
       s;
     Buffer.contents b
+
+  (* Prometheus text keeps its own number spelling: it is not JSON, and
+     scrapers and the serve load driver read it as is. *)
+  let prom_float v =
+    if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+    else Printf.sprintf "%.9g" v
 
   let label_block ?extra labels =
     let pairs =
@@ -599,7 +550,7 @@ module Metrics = struct
             | Counter | Gauge ->
                 Buffer.add_string b
                   (Printf.sprintf "%s%s %s\n" f.f_name (label_block s.se_labels)
-                     (json_float s.se_value))
+                     (prom_float s.se_value))
             | Histogram bounds ->
                 let cum = ref 0 in
                 Array.iteri
@@ -607,7 +558,7 @@ module Metrics = struct
                     cum := !cum + s.se_buckets.(i);
                     Buffer.add_string b
                       (Printf.sprintf "%s_bucket%s %d\n" f.f_name
-                         (label_block ~extra:(Printf.sprintf "le=\"%s\"" (json_float le)) s.se_labels)
+                         (label_block ~extra:(Printf.sprintf "le=\"%s\"" (prom_float le)) s.se_labels)
                          !cum))
                   bounds;
                 Buffer.add_string b
@@ -616,7 +567,7 @@ module Metrics = struct
                      s.se_count);
                 Buffer.add_string b
                   (Printf.sprintf "%s_sum%s %s\n" f.f_name (label_block s.se_labels)
-                     (json_float s.se_value));
+                     (prom_float s.se_value));
                 Buffer.add_string b
                   (Printf.sprintf "%s_count%s %d\n" f.f_name (label_block s.se_labels) s.se_count))
           rows)
@@ -626,326 +577,124 @@ module Metrics = struct
   let render_json () =
     assert_orchestrator ~what:"Metrics.render_json";
     locked @@ fun () ->
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "{\"metrics\":[";
-    let first_f = ref true in
-    List.iter
-      (fun f ->
-        if !first_f then first_f := false else Buffer.add_char b ',';
-        Buffer.add_string b
-          (Printf.sprintf "{\"name\":\"%s\",\"kind\":\"%s\",\"series\":[" (json_escape f.f_name)
-             (kind_name f.f_kind));
-        let first_s = ref true in
-        List.iter
-          (fun s ->
-            if !first_s then first_s := false else Buffer.add_char b ',';
-            let labels =
-              "{"
-              ^ String.concat ","
-                  (List.map
-                     (fun (k, v) ->
-                       Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v))
-                     s.se_labels)
-              ^ "}"
-            in
-            match f.f_kind with
-            | Counter | Gauge ->
-                Buffer.add_string b
-                  (Printf.sprintf "{\"labels\":%s,\"value\":%s}" labels (json_float s.se_value))
-            | Histogram bounds ->
-                let buckets =
-                  String.concat ","
-                    (List.init (Array.length bounds) (fun i ->
-                         Printf.sprintf "[%s,%d]" (json_float bounds.(i)) s.se_buckets.(i)))
-                in
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "{\"labels\":%s,\"count\":%d,\"sum\":%s,\"buckets\":[%s],\"overflow\":%d}"
-                     labels s.se_count (json_float s.se_value) buckets
-                     s.se_buckets.(Array.length bounds)))
-          (List.rev f.f_series_rev);
-        Buffer.add_string b "]}")
-      (families ());
-    Buffer.add_string b "]}";
-    Buffer.contents b
-
-  (* ---- snapshot codec (`bgr-metrics 1`) ----
-
-     A line-oriented dump of the whole registry, written by a worker
-     process just before it exits and merged back into the supervising
-     daemon's registry (counters/histograms add, gauges last-write).
-     Values use %.17g so a snapshot → merge round trip is exact. *)
-
-  let snap_escape s =
-    let b = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\\' -> Buffer.add_string b "\\\\"
-        | ',' -> Buffer.add_string b "\\c"
-        | '=' -> Buffer.add_string b "\\e"
-        | ' ' -> Buffer.add_string b "\\s"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let snap_unescape s =
-    let b = Buffer.create (String.length s) in
-    let n = String.length s in
-    let rec go i =
-      if i < n then
-        if s.[i] = '\\' && i + 1 < n then begin
-          (match s.[i + 1] with
-          | '\\' -> Buffer.add_char b '\\'
-          | 'c' -> Buffer.add_char b ','
-          | 'e' -> Buffer.add_char b '='
-          | 's' -> Buffer.add_char b ' '
-          | 'n' -> Buffer.add_char b '\n'
-          | c -> Buffer.add_char b c);
-          go (i + 2)
-        end
-        else begin
-          Buffer.add_char b s.[i];
-          go (i + 1)
-        end
+    let series_json f s =
+      let labels = ("labels", Qjson.Obj (List.map (fun (k, v) -> (k, Qjson.Str v)) s.se_labels)) in
+      match f.f_kind with
+      | Counter | Gauge -> Qjson.Obj [ labels; ("value", Qjson.Num s.se_value) ]
+      | Histogram bounds ->
+          let n = Array.length bounds in
+          Qjson.Obj
+            [ labels; ("count", Qjson.int s.se_count); ("sum", Qjson.Num s.se_value);
+              ( "buckets",
+                Qjson.Arr
+                  (List.init n (fun i -> Qjson.Arr [ Qjson.Num bounds.(i); Qjson.int s.se_buckets.(i) ]))
+              );
+              ("overflow", Qjson.int s.se_buckets.(n)) ]
     in
-    go 0;
-    Buffer.contents b
+    Qjson.to_string
+      (Qjson.Obj
+         [ ( "metrics",
+             Qjson.Arr
+               (List.map
+                  (fun f ->
+                    Qjson.Obj
+                      [ ("name", Qjson.Str f.f_name); ("kind", Qjson.Str (kind_name f.f_kind));
+                        ("series", Qjson.Arr (List.rev_map (series_json f) f.f_series_rev)) ])
+                  (families ())) ) ])
 
-  let snap_float v = Printf.sprintf "%.17g" v
+  (* ---- merging another process's [render_json] ---- *)
 
-  let snap_labelblock labels =
-    match labels with
-    | [] -> "-"
-    | labels ->
-        String.concat ","
-          (List.map (fun (k, v) -> snap_escape k ^ "=" ^ snap_escape v) labels)
+  exception Undecodable of string
 
-  let snapshot () =
-    assert_orchestrator ~what:"Metrics.snapshot";
-    locked @@ fun () ->
-    let b = Buffer.create 4096 in
-    Buffer.add_string b "bgr-metrics 1\n";
-    List.iter
-      (fun f ->
-        Buffer.add_string b
-          (Printf.sprintf "family %s %s\n" (kind_name f.f_kind) f.f_name);
-        if f.f_help <> "" then
-          Buffer.add_string b ("help " ^ snap_escape f.f_help ^ "\n");
-        if f.f_labelnames <> [] then
-          Buffer.add_string b
-            ("labels " ^ String.concat "," (List.map snap_escape f.f_labelnames) ^ "\n");
-        (match f.f_kind with
-        | Histogram bounds ->
-            Buffer.add_string b
-              ("buckets "
-              ^ String.concat "," (Array.to_list (Array.map snap_float bounds))
-              ^ "\n")
-        | Counter | Gauge -> ());
-        List.iter
-          (fun s ->
-            match f.f_kind with
-            | Counter | Gauge ->
-                Buffer.add_string b
-                  (Printf.sprintf "series %s %s\n" (snap_labelblock s.se_labels)
-                     (snap_float s.se_value))
-            | Histogram _ ->
-                Buffer.add_string b
-                  (Printf.sprintf "hseries %s %d %s %s\n" (snap_labelblock s.se_labels)
-                     s.se_count (snap_float s.se_value)
-                     (String.concat " "
-                        (Array.to_list (Array.map string_of_int s.se_buckets)))))
-          (List.rev f.f_series_rev))
-      (families ());
-    Buffer.add_string b "end\n";
-    Buffer.contents b
-
-  (* Parsed form of one family block of a snapshot. *)
-  type snap_family = {
-    sn_kind : string;
-    sn_name : string;
-    mutable sn_help : string;
-    mutable sn_labels : string list;
-    mutable sn_buckets : float array;
-    mutable sn_series_rev : ((string * string) list * float * int * int array) list;
-        (* labels, value/sum, count, buckets *)
-  }
-
-  let parse_labelblock s =
-    if s = "-" then Some []
-    else
-      let pairs = String.split_on_char ',' s in
-      let rec go acc = function
-        | [] -> Some (List.rev acc)
-        | p :: rest -> (
-            (* split on the first unescaped '=' *)
-            let n = String.length p in
-            let rec find i =
-              if i >= n then None
-              else if p.[i] = '\\' then find (i + 2)
-              else if p.[i] = '=' then Some i
-              else find (i + 1)
-            in
-            match find 0 with
-            | None -> None
-            | Some i ->
-                go
-                  ((snap_unescape (String.sub p 0 i),
-                    snap_unescape (String.sub p (i + 1) (n - i - 1)))
-                  :: acc)
-                  rest)
-      in
-      go [] pairs
-
-  let merge_snapshot ?(source = "worker") text =
-    assert_orchestrator ~what:"Metrics.merge_snapshot";
-    let bad fmt = Printf.ksprintf (fun m -> warn "metrics merge (%s): %s" source m) fmt in
-    let lines = String.split_on_char '\n' text in
-    match lines with
-    | first :: rest when String.trim first = "bgr-metrics 1" ->
-        let fams_rev = ref [] in
-        let cur : snap_family option ref = ref None in
-        let flush () =
-          match !cur with
-          | Some f ->
-              fams_rev := f :: !fams_rev;
-              cur := None
-          | None -> ()
-        in
-        let ok = ref true in
-        List.iter
-          (fun line ->
-            if !ok && String.trim line <> "" && String.trim line <> "end" then
-              let words = String.split_on_char ' ' line in
-              match (words, !cur) with
-              | "family" :: kind :: name :: [], _ ->
-                  flush ();
-                  cur :=
-                    Some
-                      {
-                        sn_kind = kind;
-                        sn_name = name;
-                        sn_help = "";
-                        sn_labels = [];
-                        sn_buckets = [||];
-                        sn_series_rev = [];
-                      }
-              | "help" :: _, Some f ->
-                  f.sn_help <-
-                    snap_unescape (String.sub line 5 (String.length line - 5))
-              | [ "labels"; ls ], Some f ->
-                  f.sn_labels <- List.map snap_unescape (String.split_on_char ',' ls)
-              | [ "buckets"; bs ], Some f -> (
-                  let floats =
-                    List.fold_left
-                      (fun acc x ->
-                        match (acc, float_of_string_opt x) with
-                        | Some acc, Some v -> Some (v :: acc)
-                        | _ -> None)
-                      (Some []) (String.split_on_char ',' bs)
-                  in
-                  match floats with
-                  | Some fs -> f.sn_buckets <- Array.of_list (List.rev fs)
-                  | None ->
-                      bad "unparsable bucket bounds for %s" f.sn_name;
-                      ok := false)
-              | [ "series"; lb; v ], Some f -> (
-                  match (parse_labelblock lb, float_of_string_opt v) with
-                  | Some labels, Some v ->
-                      f.sn_series_rev <- (labels, v, 0, [||]) :: f.sn_series_rev
-                  | _ ->
-                      bad "unparsable series line for %s" f.sn_name;
-                      ok := false)
-              | "hseries" :: lb :: count :: sum :: buckets, Some f -> (
-                  let bk =
-                    List.fold_left
-                      (fun acc x ->
-                        match (acc, int_of_string_opt x) with
-                        | Some acc, Some v -> Some (v :: acc)
-                        | _ -> None)
-                      (Some []) buckets
-                  in
-                  match
-                    (parse_labelblock lb, int_of_string_opt count, float_of_string_opt sum, bk)
-                  with
-                  | Some labels, Some c, Some s, Some bk ->
-                      f.sn_series_rev <-
-                        (labels, s, c, Array.of_list (List.rev bk)) :: f.sn_series_rev
-                  | _ ->
-                      bad "unparsable hseries line for %s" f.sn_name;
-                      ok := false)
-              | _ ->
-                  bad "unrecognized line %S" line;
-                  ok := false)
-          rest;
-        flush ();
-        if not !ok then 0
-        else begin
-          let merged = ref 0 in
-          List.iter
-            (fun sn ->
-              let fam =
-                try
-                  match sn.sn_kind with
-                  | "counter" ->
-                      Some (counter ~help:sn.sn_help ~labels:sn.sn_labels sn.sn_name)
-                  | "gauge" ->
-                      Some (gauge ~help:sn.sn_help ~labels:sn.sn_labels sn.sn_name)
-                  | "histogram" ->
-                      Some
-                        (histogram ~help:sn.sn_help ~labels:sn.sn_labels
-                           ~buckets:sn.sn_buckets sn.sn_name)
-                  | k ->
-                      bad "unknown family kind %S for %s" k sn.sn_name;
-                      None
-                with Bgr_error.Error e ->
-                  bad "family %s incompatible with registry: %s" sn.sn_name
-                    e.Bgr_error.message;
-                  None
+  (* [render_json]'s document back as [(name, kind, series)] per
+     family, a series being its labels, value (a histogram's sum),
+     count and per-bucket counts with the overflow bucket last. *)
+  let decode_json text =
+    let bad fmt = Printf.ksprintf (fun m -> raise (Undecodable m)) fmt in
+    let get conv k j =
+      match Option.bind (Qjson.member k j) conv with Some v -> v | None -> bad "missing or bad %S" k
+    in
+    let doc = match Qjson.parse text with Ok d -> d | Error m -> bad "%s" m in
+    List.map
+      (fun fj ->
+        let name = get Qjson.to_str "name" fj and kind = get Qjson.to_str "kind" fj in
+        let series =
+          List.map
+            (fun sj ->
+              let labels =
+                List.map
+                  (fun (k, v) -> match v with Qjson.Str v -> (k, v) | _ -> bad "%s: bad label %S" name k)
+                  (get Qjson.to_obj "labels" sj)
               in
-              match fam with
-              | None -> ()
-              | Some f ->
+              if kind <> "histogram" then ((labels, get Qjson.to_float "value" sj, 0, [||]), [||])
+              else
+                let pairs =
+                  List.map
+                    (function
+                      | Qjson.Arr [ Qjson.Num b; Qjson.Num c ] when Float.is_integer c -> (b, int_of_float c)
+                      | _ -> bad "%s: bad bucket" name)
+                    (get Qjson.to_list "buckets" sj)
+                in
+                let counts = List.map snd pairs @ [ get Qjson.to_int "overflow" sj ] in
+                ( (labels, get Qjson.to_float "sum" sj, get Qjson.to_int "count" sj, Array.of_list counts),
+                  Array.of_list (List.map fst pairs) ))
+            (get Qjson.to_list "series" fj)
+        in
+        let kind =
+          match (kind, series) with
+          | "counter", _ -> Counter
+          | "gauge", _ -> Gauge
+          | "histogram", [] -> Histogram [||]
+          | "histogram", (_, bounds) :: rest ->
+              if List.exists (fun (_, b) -> b <> bounds) rest then bad "%s: series disagree on buckets" name;
+              Histogram bounds
+          | k, _ -> bad "%s: unknown kind %S" name k
+        in
+        (name, kind, List.map fst series))
+      (get Qjson.to_list "metrics" doc)
+
+  let merge_json ?(source = "worker") text =
+    assert_orchestrator ~what:"Metrics.merge_json";
+    let bad fmt = Printf.ksprintf (fun m -> warn "metrics merge (%s): %s" source m) fmt in
+    match decode_json text with
+    | exception Undecodable m ->
+        bad "%s" m;
+        0
+    | fams ->
+        let merged = ref 0 in
+        List.iter
+          (fun (name, kind, series) ->
+            (* no series, nothing to add: a labelled family's label names are unknown *)
+            if series <> [] then
+              let (labels, _, _, _) = List.hd series in
+              match register ~help:"" ~labels:(List.map fst labels) name kind with
+              | exception Bgr_error.Error e ->
+                  bad "family %s incompatible with registry: %s" name e.Bgr_error.message
+              | f ->
                   List.iter
                     (fun (labels, v, count, bk) ->
                       let applied =
                         locked @@ fun () ->
-                        match
-                          if List.sort compare (List.map fst labels) <> f.f_labelnames
-                          then None
-                          else Some (get_series f labels)
-                        with
-                        | None -> false
-                        | Some s -> (
-                            match f.f_kind with
-                            | Counter ->
-                                s.se_value <- s.se_value +. v;
-                                true
-                            | Gauge ->
-                                s.se_value <- v;
-                                true
-                            | Histogram _ ->
-                                if Array.length bk <> Array.length s.se_buckets then
-                                  false
-                                else begin
-                                  Array.iteri
-                                    (fun i c -> s.se_buckets.(i) <- s.se_buckets.(i) + c)
-                                    bk;
-                                  s.se_value <- s.se_value +. v;
-                                  s.se_count <- s.se_count + count;
-                                  true
-                                end)
+                        List.sort compare (List.map fst labels) = f.f_labelnames
+                        &&
+                        let s = get_series f labels in
+                        match f.f_kind with
+                        | Counter -> s.se_value <- s.se_value +. v; true
+                        | Gauge -> s.se_value <- v; true
+                        | Histogram _ ->
+                            Array.length bk = Array.length s.se_buckets
+                            && begin
+                                 Array.iteri (fun i c -> s.se_buckets.(i) <- s.se_buckets.(i) + c) bk;
+                                 s.se_value <- s.se_value +. v;
+                                 s.se_count <- s.se_count + count;
+                                 true
+                               end
                       in
                       if applied then incr merged
-                      else bad "series of %s skipped (label or bucket mismatch)" sn.sn_name)
-                    (List.rev sn.sn_series_rev))
-            (List.rev !fams_rev);
-          !merged
-        end
-    | _ ->
-        bad "missing bgr-metrics 1 header";
-        0
+                      else bad "series of %s skipped (label or bucket mismatch)" name)
+                    series)
+          fams;
+        !merged
 end
 
 let reset () =

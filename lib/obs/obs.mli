@@ -60,9 +60,11 @@ val write_file_atomic : string -> string -> unit
 (** Atomic durable rewrite in the Persist discipline: write
     [path ^ ".tmp"], flush, [fsync] the temp file, rename.  A reader
     (or a post-power-loss boot) observes either the previous content
-    or the new one, never a zero-length or partial file.  Used by the
-    [--metrics] scrape-target rewrites and the flight-recorder dump.
-    Raises [Sys_error] when the file cannot be written. *)
+    or the new one, never a zero-length or partial file.  The one
+    atomic writer: the [--metrics] scrape-target rewrites, the
+    flight-recorder dump, and the run-directory and spool files
+    (behind their structured-error wrappers).  Raises [Sys_error] when
+    the file cannot be written. *)
 
 val warn : ('a, unit, string, unit) format4 -> 'a
 (** Append to {!warnings}. *)
@@ -212,21 +214,22 @@ module Metrics : sig
       runs that never exercise a subsystem. *)
 
   val render_json : unit -> string
-  (** The whole registry as one compact JSON object (single line),
-      suitable for embedding in benchmark trajectory files. *)
+  (** The whole registry as one compact {!Qjson} document (single
+      line): [{"metrics":[{"name","kind","series":[...]}]}], a
+      counter/gauge series being [{"labels","value"}] and a histogram
+      series [{"labels","count","sum","buckets":[[bound,n],...],
+      "overflow"}].  The [stats] answer, and the metrics artifact a
+      worker writes just before exit.  Floats use {!Qjson}'s exact
+      spelling, so {!merge_json} reads them back bit for bit. *)
 
-  val snapshot : unit -> string
-  (** The whole registry in the line-oriented [bgr-metrics 1] snapshot
-      format (see docs/FORMATS.md): every family with its kind, help,
-      label names and bucket bounds, then one line per live series.
-      Written by a worker just before exit; exact under
-      {!merge_snapshot} (values carry full float precision). *)
-
-  val merge_snapshot : ?source:string -> string -> int
-  (** Merge a [bgr-metrics 1] snapshot into this registry: counter
-      series and histogram buckets/sums/counts {e add}, gauges take the
-      snapshot's value, unknown families are registered on the fly.
-      Returns the number of series merged.  Never raises: malformed
-      input, kind/label/bucket mismatches degrade to {!Obs.warnings}
-      (tagged with [source]) and the offending part is skipped. *)
+  val merge_json : ?source:string -> string -> int
+  (** Merge another process's {!render_json} into this registry:
+      counter series and histogram buckets/sums/counts {e add}, gauges
+      take the merged value, unknown families are registered on the
+      fly (without help text; a labelled family with no series carries
+      nothing to merge and is skipped).  Returns the number of series
+      merged.  Never raises: a document that does not decode merges as
+      zero series, and a kind/label/bucket mismatch skips that family
+      or series; each degrades to an {!Obs.warnings} entry tagged with
+      [source]. *)
 end

@@ -14,17 +14,7 @@ let ensure_dir dir =
   | Unix.Unix_error (e, _, _) -> io_fail dir (Unix.error_message e)
 
 let write_file_atomic path s =
-  let tmp = path ^ ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    output_string oc s;
-    flush oc;
-    (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-    close_out oc;
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception Sys_error msg -> io_fail path msg
+  try Obs.write_file_atomic path s with Sys_error msg -> io_fail path msg
 
 (* --- the run manifest ------------------------------------------------ *)
 

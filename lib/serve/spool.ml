@@ -4,7 +4,7 @@ let error_file = "ERROR"
 
 let ( / ) = Filename.concat
 
-type job = {
+type job = Job_manifest.job = {
   j_id : string;
   j_timing_driven : bool;
   j_deadline_ms : int option;
@@ -39,20 +39,10 @@ let dead_dir t id = t.t_root / "dead" / id
 
 let quarantine_dir t id = t.t_root / "quarantine" / id
 
-(* Atomic durable write, the Persist discipline: temp file, fsync,
-   rename. *)
+(* Atomic durable write (temp file, fsync, rename) with a structured
+   error. *)
 let write_file_atomic path s =
-  let tmp = path ^ ".tmp" in
-  match
-    let oc = open_out_bin tmp in
-    output_string oc s;
-    flush oc;
-    (try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ());
-    close_out oc;
-    Sys.rename tmp path
-  with
-  | () -> ()
-  | exception Sys_error msg -> io_fail path msg
+  try Obs.write_file_atomic path s with Sys_error msg -> io_fail path msg
 
 let read_file path =
   match Lineio.read_all path with
@@ -88,90 +78,11 @@ let fresh_id t =
   in
   Printf.sprintf "job-%06d" (top + 1)
 
-(* --- the JOB manifest -------------------------------------------------- *)
-
-(* [kills]/[last_kill] were added after manifests already existed on
-   disk, so they are only written when meaningful and are optional on
-   parse — a pre-existing JOB file still loads. *)
-let job_string j =
-  let base =
-    Printf.sprintf "bgr-job 1\nid %s\ntiming_driven %b\ndeadline_ms %d\nattempts %d\n"
-      j.j_id j.j_timing_driven
-      (match j.j_deadline_ms with None -> 0 | Some ms -> ms)
-      j.j_attempts
-  in
-  if j.j_kills = 0 && j.j_last_kill = "" then base
-  else
-    Printf.sprintf "%skills %d\nlast_kill %s\n%s" base j.j_kills j.j_last_kill
-      (* the full reason sequence; reasons come from the kill_reason
-         vocabulary (no commas or spaces), joined oldest first *)
-      (match j.j_kill_history with
-      | [] -> ""
-      | h -> Printf.sprintf "kill_history %s\n" (String.concat "," h))
-
-exception Bad of string
-
-let parse_job ?file s =
-  let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
-  match
-    let kv =
-      String.split_on_char '\n' s
-      |> List.filter_map (fun l ->
-             let l = String.trim l in
-             if l = "" then None
-             else
-               match String.index_opt l ' ' with
-               | None -> fail "job manifest line %S has no value" l
-               | Some i ->
-                 Some (String.sub l 0 i, String.trim (String.sub l i (String.length l - i))))
-    in
-    (match kv with
-    | ("bgr-job", "1") :: _ -> ()
-    | _ -> fail "not a bgr job manifest (or unsupported version)");
-    let get k =
-      match List.assoc_opt k kv with
-      | Some v -> v
-      | None -> fail "job manifest is missing the %s field" k
-    in
-    let int_of k =
-      match int_of_string_opt (get k) with
-      | Some v -> v
-      | None -> fail "job manifest field %s wants an integer, got %S" k (get k)
-    in
-    let td =
-      match get "timing_driven" with
-      | "true" -> true
-      | "false" -> false
-      | v -> fail "job manifest field timing_driven wants a boolean, got %S" v
-    in
-    let deadline = int_of "deadline_ms" in
-    let kills =
-      match List.assoc_opt "kills" kv with
-      | None -> 0
-      | Some v -> (
-        match int_of_string_opt v with
-        | Some n -> n
-        | None -> fail "job manifest field kills wants an integer, got %S" v)
-    in
-    { j_id = get "id";
-      j_timing_driven = td;
-      j_deadline_ms = (if deadline = 0 then None else Some deadline);
-      j_attempts = int_of "attempts";
-      j_kills = kills;
-      j_last_kill = Option.value (List.assoc_opt "last_kill" kv) ~default:"";
-      j_kill_history =
-        (match List.assoc_opt "kill_history" kv with
-        | None | Some "" -> []
-        | Some h -> String.split_on_char ',' h) }
-  with
-  | j -> Ok j
-  | exception Bad m -> Error (Bgr_error.make ?file ~phase:"serve" Bgr_error.Parse "%s" m)
-
 let accept t j ~design_text =
   let dir = job_dir t j.j_id in
   ensure_dir dir;
   write_file_atomic (dir / Persist.design_file) design_text;
-  write_file_atomic (dir / job_file) (job_string j)
+  write_file_atomic (dir / job_file) (Job_manifest.job_string j)
 
 let load_job t id =
   let candidates = [ job_dir t id; dead_dir t id; quarantine_dir t id ] in
@@ -180,13 +91,15 @@ let load_job t id =
     | Some d -> d / job_file
     | None -> job_dir t id / job_file
   in
-  Result.bind (read_file path) (parse_job ~file:path)
+  Result.bind (read_file path) (Job_manifest.parse_job ~file:path)
 
-let read_manifest dir = Result.bind (read_file (dir / job_file)) (parse_job ~file:(dir / job_file))
+let read_manifest dir =
+  let path = dir / job_file in
+  Result.bind (read_file path) (Job_manifest.parse_job ~file:path)
 
 let record_attempt t j =
   let j = { j with j_attempts = j.j_attempts + 1 } in
-  write_file_atomic (job_dir t j.j_id / job_file) (job_string j);
+  write_file_atomic (job_dir t j.j_id / job_file) (Job_manifest.job_string j);
   j
 
 let record_kill t j ~reason =
@@ -196,7 +109,7 @@ let record_kill t j ~reason =
       j_last_kill = reason;
       j_kill_history = j.j_kill_history @ [ reason ] }
   in
-  write_file_atomic (job_dir t j.j_id / job_file) (job_string j);
+  write_file_atomic (job_dir t j.j_id / job_file) (Job_manifest.job_string j);
   j
 
 let mark_done t id ~json = write_file_atomic (job_dir t id / result_file) (json ^ "\n")
@@ -269,7 +182,7 @@ let revive ?(force = false) t id =
             let j =
               { j with j_attempts = 0; j_kills = 0; j_last_kill = ""; j_kill_history = [] }
             in
-            write_file_atomic (job_dir t id / job_file) (job_string j);
+            write_file_atomic (job_dir t id / job_file) (Job_manifest.job_string j);
             j)
           (load_job t id))
 

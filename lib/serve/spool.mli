@@ -18,18 +18,16 @@
     loses nothing: the startup {!scan} finds every accepted job whose
     [RESULT] is missing and re-queues it. *)
 
-type job = {
+type job = Job_manifest.job = {
   j_id : string;
   j_timing_driven : bool;
   j_deadline_ms : int option;
-  j_attempts : int;  (** attempts already started (across daemon restarts) *)
-  j_kills : int;  (** worker processes killed on this job (hang/OOM/signal) *)
-  j_last_kill : string;  (** latest kill reason, [""] when none *)
+  j_attempts : int;
+  j_kills : int;
+  j_last_kill : string;
   j_kill_history : string list;
-      (** every kill reason in order, oldest first ([j_last_kill] is
-          its last element); persisted in the manifest's optional
-          [kill_history] line, reset by {!revive} *)
 }
+(** The [JOB] manifest record; its [bgr-job 1] codec is {!Job_manifest}. *)
 
 val job_file : string
 val result_file : string

@@ -1,5 +1,5 @@
 (* Cross-process trace stitching: fold one worker attempt's recorded
-   observability (spans + metrics snapshot) back into the supervising
+   observability (spans + metrics) back into the supervising
    daemon's tracer and registry.
 
    The worker hands the daemon an obs summary json (via the BGRW1
@@ -9,7 +9,8 @@
    re-emit each span as-is — worker pid, span ids, parent links and
    the shared trace id all survive, so one Perfetto load of the
    daemon's chrome trace shows serve.job -> serve.worker -> the
-   worker's own phase spans.  The metrics snapshot merges additively.
+   worker's own phase spans.  The worker's metrics JSON merges
+   additively.
 
    Everything here is best-effort in the Obs failure-policy sense: a
    missing file, torn json line or incompatible metric family costs a
@@ -60,14 +61,7 @@ let span_of_json j =
   | _ -> None
 
 let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let n = in_channel_length ic in
-        Some (really_input_string ic n))
+  try Some (In_channel.with_open_bin path In_channel.input_all) with Sys_error _ -> None
 
 let merge ~dir ~summary_json () =
   match Qjson.parse summary_json with
@@ -94,17 +88,22 @@ let merge ~dir ~summary_json () =
       let d = (worker_epoch -. daemon_epoch) *. 1e6 in
       if Float.is_nan d then 0.0 else d
     in
-    let spans =
-      match str "jsonl" with
+    (* Each artifact the summary names is read whole; a missing name
+       or file costs a warning and counts nothing. *)
+    let from_artifact key f =
+      match str key with
       | None ->
-        Obs.warn "stitch (%s): summary names no jsonl trace" source;
+        Obs.warn "stitch (%s): summary names no %s file" source key;
         0
       | Some file -> (
         match read_file (Filename.concat dir file) with
         | None ->
           Obs.warn "stitch (%s): cannot read %s" source file;
           0
-        | Some text ->
+        | Some text -> f text)
+    in
+    let spans =
+      from_artifact "jsonl" (fun text ->
           let n = ref 0 in
           List.iter
             (fun line ->
@@ -122,16 +121,5 @@ let merge ~dir ~summary_json () =
             (String.split_on_char '\n' text);
           !n)
     in
-    let series =
-      match str "metrics" with
-      | None ->
-        Obs.warn "stitch (%s): summary names no metrics snapshot" source;
-        0
-      | Some file -> (
-        match read_file (Filename.concat dir file) with
-        | None ->
-          Obs.warn "stitch (%s): cannot read %s" source file;
-          0
-        | Some text -> Obs.Metrics.merge_snapshot ~source text)
-    in
+    let series = from_artifact "metrics" (Obs.Metrics.merge_json ~source) in
     { st_spans = spans; st_series = series }

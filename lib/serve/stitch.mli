@@ -15,8 +15,8 @@
        parent links and trace id — a Perfetto load of the daemon's
        chrome trace then shows the daemon job span and the worker's
        phase spans on one timeline;}
-    {- the worker's [bgr-metrics 1] snapshot merges additively through
-       {!Obs.Metrics.merge_snapshot}, so worker-side counters and
+    {- the worker's metrics file ({!Obs.Metrics.render_json}) merges
+       additively through {!Obs.Metrics.merge_json}, so worker-side counters and
        histograms reappear in the daemon's [stats] answers and [.prom]
        file.}}
 

@@ -191,11 +191,9 @@ let oom_exit_code = 70
 
 (* Per-attempt observability artifacts, named after the attempt
    ordinal so retries never clobber each other. *)
-let trace_chrome_file ~attempt = Printf.sprintf "trace-a%d.json" attempt
-
 let trace_jsonl_file ~attempt = Printf.sprintf "trace-a%d.jsonl" attempt
 
-let metrics_file ~attempt = Printf.sprintf "metrics-a%d.bgrm" attempt
+let metrics_file ~attempt = Printf.sprintf "metrics-a%d.json" attempt
 
 let obs_summary_file ~attempt = Printf.sprintf "obs-a%d.json" attempt
 
@@ -207,7 +205,6 @@ let obs_summary_json ~job ~attempt ~pid ~epoch_s ~trace_id ~spans =
          ("pid", Qjson.int pid);
          ("epoch_s", Qjson.num epoch_s);
          ("trace_id", Qjson.Str (Option.value trace_id ~default:""));
-         ("chrome", Qjson.Str (trace_chrome_file ~attempt));
          ("jsonl", Qjson.Str (trace_jsonl_file ~attempt));
          ("metrics", Qjson.Str (metrics_file ~attempt));
          ("spans", Qjson.int spans);
@@ -270,7 +267,6 @@ let main ?(domains = 0) ?default_deadline_ms ?(mem_limit_mb = 0) ?trace_id ?pare
       Obs.Trace.set_pid (Unix.getpid ());
       Obs.Trace.set_trace_id trace_id;
       Obs.Trace.set_parent_span parent_span;
-      Obs.Trace.to_chrome_file (Filename.concat dir (trace_chrome_file ~attempt:attempt_no));
       Obs.Trace.to_jsonl_file (Filename.concat dir (trace_jsonl_file ~attempt:attempt_no))
     end;
     let progress = ref ("spawn", 0, 0, nan) in
@@ -297,7 +293,7 @@ let main ?(domains = 0) ?default_deadline_ms ?(mem_limit_mb = 0) ?trace_id ?pare
       beat ()
     in
     let budget = budget_of ?default_deadline_ms job in
-    (* Close the sinks, snapshot the registry, and hand the daemon the
+    (* Close the sinks, write the registry, and hand the daemon the
        obs summary *before* the terminal frame — the supervisor stops
        reading at Done/Fail.  Best-effort: a full disk must cost a
        warning, never the attempt's verdict. *)
@@ -305,20 +301,16 @@ let main ?(domains = 0) ?default_deadline_ms ?(mem_limit_mb = 0) ?trace_id ?pare
       if obs then begin
         try
           Obs.Trace.close_sinks ();
-          let write_file path contents =
-            let oc = open_out path in
-            Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-                output_string oc contents)
+          let write_file name contents =
+            Out_channel.with_open_bin (Filename.concat dir name) (fun oc -> output_string oc contents)
           in
-          write_file
-            (Filename.concat dir (metrics_file ~attempt:attempt_no))
-            (Obs.Metrics.snapshot ());
+          write_file (metrics_file ~attempt:attempt_no) (Obs.Metrics.render_json ());
           let summary =
             obs_summary_json ~job:job.Spool.j_id ~attempt:attempt_no
               ~pid:(Unix.getpid ()) ~epoch_s:(Obs.Trace.epoch_s ()) ~trace_id
               ~spans:(List.length (Obs.Trace.completed ()))
           in
-          write_file (Filename.concat dir (obs_summary_file ~attempt:attempt_no)) summary;
+          write_file (obs_summary_file ~attempt:attempt_no) summary;
           send (Obs_summary { json = summary })
         with e ->
           prerr_endline ("bgr_serve worker: warning: obs finalize: " ^ Printexc.to_string e)

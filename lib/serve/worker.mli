@@ -90,14 +90,13 @@ val oom_exit_code : int
 (** [70] — the worker's exit code after [Out_of_memory], recognized by
     the supervisor even when the OOM frame itself failed to flush. *)
 
-val trace_chrome_file : attempt:int -> string
 val trace_jsonl_file : attempt:int -> string
 val metrics_file : attempt:int -> string
 val obs_summary_file : attempt:int -> string
 (** Per-attempt observability artifact names inside the job's spool
-    directory ([trace-aN.json], [trace-aN.jsonl], [metrics-aN.bgrm],
-    [obs-aN.json]), keyed by the attempt ordinal so retries never
-    clobber an earlier attempt's trace.  The flight-recorder dump
+    directory ([trace-aN.jsonl], [metrics-aN.json], [obs-aN.json]),
+    keyed by the attempt ordinal so retries never clobber an earlier
+    attempt's trace.  The flight-recorder dump
     rides the same convention: {!Flight.attempt_filename}
     ([flight-aN.bgrf]). *)
 

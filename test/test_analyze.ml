@@ -478,8 +478,8 @@ let test_postmortem_hang_prefers_latest_attempt () =
   check_string "the attempt dump is correlated" "flight-a1.bgrf" r.Postmortem.p_flight_file;
   (match r.Postmortem.p_job with
   | Some j ->
-    check_int "kills parsed" 1 j.Postmortem.j_kills;
-    check_string "history parsed" "hang" (String.concat "," j.Postmortem.j_kill_history)
+    check_int "kills parsed" 1 j.Job_manifest.j_kills;
+    check_string "history parsed" "hang" (String.concat "," j.Job_manifest.j_kill_history)
   | None -> Alcotest.fail "JOB manifest not parsed");
   (* the bundle is machine-checkable *)
   (match Qjson.parse (Qjson.to_string (Postmortem.to_json r)) with

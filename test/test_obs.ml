@@ -143,84 +143,177 @@ let test_parent_span_links_roots () =
         (by_name "child").Obs.Trace.sp_parent;
       check_int "cleared: roots are roots again" 0 (by_name "after").Obs.Trace.sp_parent)
 
-(* ---- metrics snapshot codec ---------------------------------------- *)
+(* ---- worker -> daemon metrics merge -------------------------------- *)
 
-let snap_counter = Obs.Metrics.counter ~labels:[ "k" ] "test_snapshot_ops_total"
-let snap_gauge = Obs.Metrics.gauge "test_snapshot_level"
+let merge_counter = Obs.Metrics.counter ~labels:[ "k" ] "test_merge_ops_total"
+let merge_gauge = Obs.Metrics.gauge "test_merge_level"
 
-let snap_hist =
-  Obs.Metrics.histogram ~buckets:[| 1.0; 10.0 |] "test_snapshot_lat_seconds"
+let merge_hist =
+  Obs.Metrics.histogram ~buckets:[| 1.0; 10.0 |] "test_merge_lat_seconds"
 
-let test_snapshot_roundtrip () =
+let bits = Int64.bits_of_float
+
+let test_metrics_json_merge () =
   Obs.set_clock_for_tests None;
   Obs.enable ();
   Obs.reset ();
   Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ())
   @@ fun () ->
-  Obs.Metrics.inc ~labels:[ ("k", "a") ] ~by:3.0 snap_counter;
-  Obs.Metrics.inc ~labels:[ ("k", "b") ] snap_counter;
-  Obs.Metrics.set snap_gauge 17.5;
-  Obs.Metrics.observe snap_hist 0.5;
-  Obs.Metrics.observe snap_hist 99.0;
-  let snap = Obs.Metrics.snapshot () in
-  check_bool "snapshot has the magic line" true
-    (String.length snap >= 13 && String.sub snap 0 13 = "bgr-metrics 1");
-  (* merging a registry's own snapshot doubles counters and histogram
+  Obs.Metrics.inc ~labels:[ ("k", "a") ] ~by:3.0 merge_counter;
+  Obs.Metrics.inc ~labels:[ ("k", "b") ] merge_counter;
+  Obs.Metrics.set merge_gauge (0.1 +. 0.2);
+  List.iter (Obs.Metrics.observe merge_hist) [ 0.1; 7.7; 99.0 ];
+  let state () =
+    let bounds, counts, sum, count = Option.get (Obs.Metrics.histogram_snapshot merge_hist) in
+    ( List.map (fun (l, v) -> (l, bits v)) (Obs.Metrics.series merge_counter),
+      Option.map bits (Obs.Metrics.value merge_gauge),
+      (bounds, counts, bits sum, count) )
+  in
+  let before = state () in
+  let _, _, (_, _, sum_bits, _) = before in
+  (* the worker side: its registry as the stats JSON, merged into a
+     fresh daemon-side registry; floats come back bit for bit *)
+  let json = Obs.Metrics.render_json () in
+  Obs.reset ();
+  check_bool "merged several series" true (Obs.Metrics.merge_json ~source:"worker" json >= 4);
+  check_bool "counters, gauge 0.1 +. 0.2 and histogram sum identical" true (state () = before);
+  (* merging a registry's own JSON doubles counters and histogram
      tallies and leaves gauges at their (last-write) value *)
-  let merged = Obs.Metrics.merge_snapshot ~source:"self" snap in
-  check_bool "merged several series" true (merged >= 4);
-  check_bool "counter doubled" true
-    (Obs.Metrics.value ~labels:[ ("k", "a") ] snap_counter = Some 6.0);
-  check_bool "other series too" true
-    (Obs.Metrics.value ~labels:[ ("k", "b") ] snap_counter = Some 2.0);
-  check_bool "gauge takes the snapshot value" true
-    (Obs.Metrics.value snap_gauge = Some 17.5);
-  (match Obs.Metrics.histogram_snapshot snap_hist with
-  | Some (bounds, counts, sum, count) ->
-    check_bool "bucket bounds intact" true (bounds = [| 1.0; 10.0 |]);
-    check_bool "per-bucket counts doubled" true (counts = [| 2; 0; 2 |]);
-    check_bool "sum doubled" true (Float.abs (sum -. 199.0) < 1e-9);
-    check_int "count doubled" 4 count
-  | None -> Alcotest.fail "histogram series vanished");
+  check_bool "self-merge merged several series" true
+    (Obs.Metrics.merge_json ~source:"self" (Obs.Metrics.render_json ()) >= 4);
+  let sum = Int64.float_of_bits sum_bits in
+  check_bool "counters and histogram doubled, bucket bounds and gauge kept" true
+    (state ()
+    = ( [ ([ ("k", "a") ], bits 6.0); ([ ("k", "b") ], bits 2.0) ],
+        Some (bits (0.1 +. 0.2)),
+        ([| 1.0; 10.0 |], [| 2; 2; 2 |], bits (sum +. sum), 6) ));
   (* garbage degrades to a warning, not an exception *)
-  let before = List.length (Obs.warnings ()) in
-  check_int "garbage merges zero series" 0
-    (Obs.Metrics.merge_snapshot ~source:"junk" "not a snapshot\n");
-  check_bool "and warns" true (List.length (Obs.warnings ()) > before)
+  List.iter
+    (fun junk ->
+      let before = List.length (Obs.warnings ()) in
+      check_int (Printf.sprintf "%S merges zero series" junk) 0
+        (Obs.Metrics.merge_json ~source:"junk" junk);
+      check_bool "and warns" true (List.length (Obs.warnings ()) > before))
+    [ "not a metrics document\n";
+      String.sub json 0 (String.length json / 2);
+      "{\"metrics\":[{\"name\":\"test_merge_level\"}]}";
+      "{\"metrics\":[{\"name\":\"x\",\"kind\":\"gauge\",\"series\":[{\"labels\":{},\"value\":\"1\"}]}]}" ]
+
+(* The stats JSON as it was rendered before it went through [Qjson]:
+   hand-written, floats as [%.9g].  Kept here to show that the
+   renderer kept the document's keys, order and integers, and that
+   every float reads back as the old one at nine digits.  Strings go
+   through [Qjson]: the old escape mapped the same characters. *)
+let legacy_string s = Qjson.to_string (Qjson.Str s)
+
+let legacy_float v =
+  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.0f" v
+  else Printf.sprintf "%.9g" v
+
+(* One family as the old renderer wrote it; a series is (labels,
+   value or sum, count, per-bucket counts with the overflow last). *)
+let legacy_family ~name ~kind ?bounds series =
+  let pair (k, v) = Printf.sprintf "%s:%s" (legacy_string k) (legacy_string v) in
+  let one (ls, v, count, bk) =
+    let labels = "{" ^ String.concat "," (List.map pair ls) ^ "}" in
+    match bounds with
+    | None -> Printf.sprintf "{\"labels\":%s,\"value\":%s}" labels (legacy_float v)
+    | Some bounds ->
+      let n = Array.length bounds in
+      let buckets =
+        List.init n (fun i -> Printf.sprintf "[%s,%d]" (legacy_float bounds.(i)) bk.(i))
+      in
+      Printf.sprintf "{\"labels\":%s,\"count\":%d,\"sum\":%s,\"buckets\":[%s],\"overflow\":%d}"
+        labels count (legacy_float v) (String.concat "," buckets) bk.(n)
+  in
+  Printf.sprintf "{\"name\":%s,\"kind\":\"%s\",\"series\":[%s]}" (legacy_string name) kind
+    (String.concat "," (List.map one series))
+
+(* [old] and [now] have the same keys in the same order, the same
+   strings and integers, and every float of [now] is [old]'s at
+   [%.9g]. *)
+let rec same_content old now =
+  match (old, now) with
+  | Qjson.Obj a, Qjson.Obj b -> List.equal (fun (k, x) (l, y) -> k = l && same_content x y) a b
+  | Qjson.Arr a, Qjson.Arr b -> List.equal same_content a b
+  | Qjson.Num o, Qjson.Num n ->
+    if Float.is_integer o then o = n else float_of_string (Printf.sprintf "%.9g" n) = o
+  | a, b -> a = b
+
+let content_counter = Obs.Metrics.counter ~labels:[ "path" ] "test_content_ops_total"
+let content_gauge = Obs.Metrics.gauge "test_content_level"
+
+let content_hist =
+  Obs.Metrics.histogram ~buckets:[| 0.1; 1.0 /. 3.0; 2.5 |] "test_content_lat_seconds"
+
+(* The registry holds every built-in family too; compare the
+   scenario's own families, in registration order. *)
+let test_stats_json_content () =
+  Obs.set_clock_for_tests None;
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ())
+  @@ fun () ->
+  Obs.Metrics.inc ~labels:[ ("path", "a\"b\\c\nd\001") ] ~by:3.0 content_counter;
+  Obs.Metrics.inc ~labels:[ ("path", "plain") ] ~by:0.25 content_counter;
+  Obs.Metrics.set content_gauge (0.1 +. 0.2);
+  List.iter (Obs.Metrics.observe content_hist) [ 0.05; 1.0 /. 3.0; 0.7; 7.0 ];
+  let plain fam = List.map (fun (ls, v) -> (ls, v, 0, [||])) (Obs.Metrics.series fam) in
+  let bounds, counts, sum, count = Option.get (Obs.Metrics.histogram_snapshot content_hist) in
+  let legacy =
+    Printf.sprintf "{\"metrics\":[%s,%s,%s]}"
+      (legacy_family ~name:"test_content_ops_total" ~kind:"counter" (plain content_counter))
+      (legacy_family ~name:"test_content_level" ~kind:"gauge" (plain content_gauge))
+      (legacy_family ~name:"test_content_lat_seconds" ~kind:"histogram" ~bounds
+         [ ([], sum, count, counts) ])
+  in
+  let ours =
+    match Qjson.parse (Obs.Metrics.render_json ()) with
+    | Ok (Qjson.Obj [ ("metrics", Qjson.Arr fams) ]) ->
+      Qjson.Obj
+        [ ( "metrics",
+            Qjson.Arr
+              (List.filter
+                 (fun f ->
+                   match Option.bind (Qjson.member "name" f) Qjson.to_str with
+                   | Some n -> String.starts_with ~prefix:"test_content_" n
+                   | None -> false)
+                 fams) ) ]
+    | Ok _ -> Alcotest.fail "render_json is not {\"metrics\":[...]}"
+    | Error m -> Alcotest.failf "render_json does not parse: %s" m
+  in
+  check_bool "same keys, order, strings and integers; floats equal at %.9g" true
+    (same_content (Result.get_ok (Qjson.parse legacy)) ours)
 
 (* ---- golden renderings --------------------------------------------- *)
 
-let test_chrome_golden () =
+(* The scenario through one sink ([to_chrome_file] or [to_jsonl_file]). *)
+let render_scenario ?trace_id open_sink =
   with_test_clock (fun () ->
-      let path = Filename.temp_file "bgr_obs_chrome" ".json" in
-      Obs.Trace.to_chrome_file path;
+      let path = Filename.temp_file "bgr_obs_trace" ".json" in
+      Obs.Trace.set_trace_id trace_id;
+      open_sink path;
       record_scenario ();
       Obs.Trace.close_sinks ();
       let got = read_file path in
       Sys.remove path;
-      let expected =
-        "[\n\
-         {\"name\":\"tick\",\"cat\":\"bgr\",\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":500000.000,\"s\":\"t\"},\n\
-         {\"name\":\"inner\",\"cat\":\"bgr\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":500000.000,\"dur\":500000.000,\"args\":{\"k\":3}},\n\
-         {\"name\":\"outer\",\"cat\":\"bgr\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":0.000,\"dur\":2000000.000,\"args\":{\"note\":\"x\"}}\n\
-         ]\n"
-      in
-      check_string "chrome trace_event golden" expected got)
+      got)
+
+let test_chrome_golden () =
+  check_string "chrome trace_event golden"
+    "[\n\
+     {\"name\":\"tick\",\"cat\":\"bgr\",\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":500000,\"s\":\"t\"},\n\
+     {\"name\":\"inner\",\"cat\":\"bgr\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":500000,\"dur\":500000,\"args\":{\"k\":3}},\n\
+     {\"name\":\"outer\",\"cat\":\"bgr\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":0,\"dur\":2000000,\"args\":{\"note\":\"x\"}}\n\
+     ]\n"
+    (render_scenario Obs.Trace.to_chrome_file)
 
 let test_jsonl_golden () =
-  with_test_clock (fun () ->
-      let path = Filename.temp_file "bgr_obs_jsonl" ".jsonl" in
-      Obs.Trace.to_jsonl_file path;
-      record_scenario ();
-      Obs.Trace.close_sinks ();
-      let got = read_file path in
-      Sys.remove path;
-      let expected =
-        "{\"name\":\"tick\",\"start_us\":500000.000,\"dur_us\":0.000,\"depth\":2,\"id\":3,\"parent\":2,\"pid\":1}\n\
-         {\"name\":\"inner\",\"start_us\":500000.000,\"dur_us\":500000.000,\"depth\":1,\"id\":2,\"parent\":1,\"pid\":1,\"args\":{\"k\":3}}\n\
-         {\"name\":\"outer\",\"start_us\":0.000,\"dur_us\":2000000.000,\"depth\":0,\"id\":1,\"parent\":0,\"pid\":1,\"args\":{\"note\":\"x\"}}\n"
-      in
-      check_string "jsonl golden" expected got)
+  check_string "jsonl golden"
+    "{\"name\":\"tick\",\"start_us\":500000,\"dur_us\":0,\"depth\":2,\"id\":3,\"parent\":2,\"pid\":1}\n\
+     {\"name\":\"inner\",\"start_us\":500000,\"dur_us\":500000,\"depth\":1,\"id\":2,\"parent\":1,\"pid\":1,\"args\":{\"k\":3}}\n\
+     {\"name\":\"outer\",\"start_us\":0,\"dur_us\":2000000,\"depth\":0,\"id\":1,\"parent\":0,\"pid\":1,\"args\":{\"note\":\"x\"}}\n"
+    (render_scenario Obs.Trace.to_jsonl_file)
 
 (* The test executable links the whole pipeline, so the registry holds
    every built-in family; golden-check the rendering of families this
@@ -326,6 +419,112 @@ let prop_histogram_counts =
         && count = List.length raw_obs
         (* integer-valued observations: the sum is exact *)
         && sum = List.fold_left (fun a v -> a +. float_of_int v) 0.0 raw_obs)
+
+(* ---- Qjson: strict parse, exact numbers, no exceptions ------------- *)
+
+let test_qjson_strict () =
+  List.iter
+    (fun bad ->
+      check_bool (Printf.sprintf "%S is rejected" bad) true (Result.is_error (Qjson.parse bad)))
+    [ "\"\\u1_23\""; "\"\\u00_1\""; "\"\\u+123\""; "\"\\u12\""; "01"; "00.5"; "-.5"; "1.";
+      ".5"; "+1"; "-"; "1e"; "1e+"; "0x10"; "1_000"; "[1,]"; "{\"a\":1,}"; "nul"; "";
+      "\"tab\there\""; "\"nl\nhere\""; "\"\\ud83d\""; "\"\\ude00\""; "\"\\ud83d\\u0041\"" ];
+  List.iter
+    (fun (text, v) ->
+      check_bool (Printf.sprintf "%S parses" text) true (Qjson.parse text = Ok v))
+    [ ("0", Qjson.Num 0.0); ("-0", Qjson.Num (-0.0)); ("0.5", Qjson.Num 0.5);
+      ("-1.5e-3", Qjson.Num (-1.5e-3)); ("1E+5", Qjson.Num 1e5); ("10", Qjson.Num 10.0);
+      ("\"\\u00e9\\u0041\"", Qjson.Str "\xc3\xa9A");
+      ("\"\\ud83d\\ude00\"", Qjson.Str "\xf0\x9f\x98\x80");
+      (" [ true , null ] ", Qjson.Arr [ Qjson.Bool true; Qjson.Null ]) ];
+  check_bool "100k nested brackets are an error, not an exception" true
+    (Result.is_error (Qjson.parse (String.make 100_000 '[')))
+
+(* One document of each kind this code base writes. *)
+let qjson_seeds =
+  lazy
+    (let trace_id = "job-\"q\"" in
+     let trace =
+       [ render_scenario ~trace_id Obs.Trace.to_chrome_file;
+         List.hd (String.split_on_char '\n' (render_scenario ~trace_id Obs.Trace.to_jsonl_file)) ]
+     in
+     let stats =
+       Obs.enable ();
+       Obs.Metrics.inc ~labels:[ ("k", "a") ] merge_counter;
+       Obs.Metrics.observe merge_hist 0.3;
+       let s = Obs.Metrics.render_json () in
+       Obs.disable ();
+       Obs.reset ();
+       s
+     in
+     let verdict =
+       let dir = Filename.temp_dir "bgr_qjson" "" in
+       let r = Result.get_ok (Postmortem.analyze ~dir) in
+       Unix.rmdir dir;
+       Qjson.to_string (Postmortem.to_json r)
+     in
+     List.map String.trim (trace @ [ stats; verdict ]))
+
+let gen_seed = QCheck.Gen.(map (fun i -> List.nth (Lazy.force qjson_seeds) i) (int_bound 3))
+
+(* Every proper prefix of an object or array is incomplete. *)
+let prop_qjson_truncation =
+  QCheck.Test.make ~name:"truncations are an Error" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         gen_seed >>= fun s -> map (fun k -> (s, k)) (int_bound (String.length s - 1))))
+    (fun (s, k) -> Result.is_error (Qjson.parse (String.sub s 0 k)))
+
+let prop_qjson_flips =
+  QCheck.Test.make ~name:"byte flips never raise" ~count:2000
+    (QCheck.make
+       QCheck.Gen.(
+         gen_seed >>= fun s ->
+         map
+           (fun flips -> (s, flips))
+           (list_size (int_range 1 3)
+              (pair (int_bound (String.length s - 1)) (int_range 1 255)))))
+    (fun (s, flips) ->
+      let b = Bytes.of_string s in
+      List.iter (fun (i, x) -> Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor x))) flips;
+      match Qjson.parse (Bytes.to_string b) with Ok _ | Error _ -> true)
+
+let gen_qjson =
+  let open QCheck.Gen in
+  let finite =
+    oneof
+      [ float; map float_of_int int; oneofl [ 0.0; -0.0; 0.1 +. 0.2; 5e-324; 1e15; -1e300; 2. ** 53. ] ]
+    >|= fun v -> if Float.is_finite v then v else 1.0
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [ return Qjson.Null; map (fun b -> Qjson.Bool b) bool; map (fun v -> Qjson.Num v) finite;
+               map (fun s -> Qjson.Str s) string ]
+         in
+         if n <= 0 then leaf
+         else
+           frequency
+             [ (3, leaf);
+               (1, map (fun l -> Qjson.Arr l) (list_size (int_bound 4) (self (n / 2))));
+               (1, map (fun l -> Qjson.Obj l) (list_size (int_bound 4) (pair string (self (n / 2))))) ])
+
+(* Structural equality with numbers compared bit for bit. *)
+let rec bit_equal a b =
+  match (a, b) with
+  | Qjson.Num x, Qjson.Num y -> bits x = bits y
+  | Qjson.Arr xs, Qjson.Arr ys -> List.equal bit_equal xs ys
+  | Qjson.Obj xs, Qjson.Obj ys -> List.equal (fun (k, x) (l, y) -> k = l && bit_equal x y) xs ys
+  | a, b -> a = b
+
+let prop_qjson_roundtrip =
+  QCheck.Test.make ~name:"render -> parse is exact" ~count:500
+    (QCheck.make ~print:Qjson.to_string gen_qjson)
+    (fun v ->
+      match Qjson.parse (Qjson.to_string v) with
+      | Ok v' -> bit_equal v v'
+      | Error m -> QCheck.Test.fail_reportf "%s" m)
 
 (* ---- sink-fault degradation ---------------------------------------- *)
 
@@ -770,12 +969,17 @@ let () =
             test_parent_span_links_roots ] );
       ( "metrics",
         [ Alcotest.test_case "prometheus golden + shape" `Quick test_prometheus_golden;
-          Alcotest.test_case "snapshot codec round trip + merge" `Quick
-            test_snapshot_roundtrip;
+          Alcotest.test_case "metrics JSON merge round trip" `Quick test_metrics_json_merge;
+          Alcotest.test_case "stats JSON keeps its content" `Quick test_stats_json_content;
           Alcotest.test_case "label-value escaping" `Quick test_prom_label_escaping;
           Alcotest.test_case "histogram with zero observations" `Quick
             test_histogram_no_observations;
           QCheck_alcotest.to_alcotest prop_histogram_counts ] );
+      ( "qjson",
+        [ Alcotest.test_case "strict numbers and escapes" `Quick test_qjson_strict;
+          QCheck_alcotest.to_alcotest prop_qjson_truncation;
+          QCheck_alcotest.to_alcotest prop_qjson_flips;
+          QCheck_alcotest.to_alcotest prop_qjson_roundtrip ] );
       ( "flight",
         [ Alcotest.test_case "record/dump/read round trip" `Quick test_flight_roundtrip;
           Alcotest.test_case "ring wrap keeps the newest events" `Quick test_flight_ring_wrap;

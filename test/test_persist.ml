@@ -167,6 +167,39 @@ let test_double_kill () =
     check_int "twice-killed run still lands on the uninterrupted hash" (Lazy.force d.d_hash)
       r.Persist.rr_outcome.Flow.o_measurement.Flow.m_deletion_hash
 
+(* A random kill on MINI or C1P1 — at the K-th journal append or the
+   K-th snapshot write — always resumes to the uninterrupted hash.  K
+   ranges over the whole run: 1 .. the uninterrupted run's journal
+   records, or 1 .. its snapshot writes (one per completed phase). *)
+let resume_designs =
+  lazy
+    (List.map
+       (fun d ->
+         let dir = fresh_dir () in
+         let o = Persist.route ~dir ~design_text:d.d_text d.d_input in
+         let appends =
+           match Journal.read ~path:(Filename.concat dir Persist.journal_file) with
+           | Ok j -> List.length j.Journal.records
+           | Error e -> Alcotest.failf "%s: journal: %s" d.d_name (Bgr_error.to_string e)
+         in
+         (d, appends, List.length o.Flow.o_run_report.Router.completed_phases))
+       [ List.hd (Lazy.force designs);
+         design_of_input "C1P1" (Suite.make_case ~circuit:"C1" ~placement:Placement.P1).Suite.input ])
+
+let prop_random_kill_resumes =
+  QCheck.Test.make ~name:"a random append/snapshot kill resumes to the hash" ~count:30
+    (QCheck.make
+       ~print:(fun (i, site, k) -> Printf.sprintf "design %d, persist.%s:n=%d" i site k)
+       QCheck.Gen.(
+         int_bound 1 >>= fun i ->
+         let _, appends, snapshots = List.nth (Lazy.force resume_designs) i in
+         oneof
+           [ map (fun k -> (i, "append", k)) (int_range 1 appends);
+             map (fun k -> (i, "snapshot", k)) (int_range 1 snapshots) ]))
+    (fun (i, site, k) ->
+      let d, _, _ = List.nth (Lazy.force resume_designs) i in
+      kill_and_resume ~plan_str:(Printf.sprintf "persist.%s:n=%d" site k) ~domains:1 d)
+
 (* --- torn tails and corruption on disk -------------------------------- *)
 
 let read_bytes path =
@@ -485,6 +518,36 @@ let test_audit_clean_on_fresh_route () =
     true (Verify.audit_ok a);
   check_int "audited every net" (Netlist.n_nets d.d_input.Flow.netlist) a.Verify.audited_nets
 
+(* Every phase boundary of a full run audits clean, without repair,
+   timed and untimed; auditing mid-run leaves the deletion hash alone. *)
+let test_audit_every_phase () =
+  List.iter
+    (fun (name, input) ->
+      List.iter
+        (fun timing_driven ->
+          let label = name ^ if timing_driven then "" else " -u" in
+          let prep, router = Flow.prepare ~timing_driven input in
+          let audits = ref [] in
+          Router.set_checkpoint_hook router
+            (Some (fun ~phase ~completed:_ _ -> audits := (phase, Verify.audit router) :: !audits));
+          let report = Router.run router in
+          Router.set_checkpoint_hook router None;
+          let o = Flow.finish prep router report in
+          check_bool (label ^ ": one audit per completed phase") true
+            (List.rev_map fst !audits = report.Router.completed_phases);
+          List.iter
+            (fun (phase, a) ->
+              check_bool
+                (Format.asprintf "%s: audit clean after %s (%a)" label phase Verify.pp_audit a)
+                true (Verify.audit_ok a))
+            (List.rev !audits);
+          check_int (label ^ ": auditing at every phase leaves the hash alone")
+            (Flow.run ~timing_driven input).Flow.o_measurement.Flow.m_deletion_hash
+            o.Flow.o_measurement.Flow.m_deletion_hash)
+        [ true; false ])
+    [ ("MINI", (Suite.mini ()).Suite.input);
+      ("C1P1", (Suite.make_case ~circuit:"C1" ~placement:Placement.P1).Suite.input) ]
+
 let () =
   Alcotest.run "persist"
     [ ( "route",
@@ -494,7 +557,8 @@ let () =
           Alcotest.test_case "kill at persist.snapshot" `Slow test_kill_at_snapshot;
           Alcotest.test_case "late append + fsync kills" `Slow test_kill_late_and_at_fsync;
           Alcotest.test_case "resume on 4 domains" `Slow test_resume_on_four_domains;
-          Alcotest.test_case "kill the resume too" `Slow test_double_kill ] );
+          Alcotest.test_case "kill the resume too" `Slow test_double_kill;
+          QCheck_alcotest.to_alcotest prop_random_kill_resumes ] );
       ( "disk damage",
         [ Alcotest.test_case "torn tail resumes with a warning" `Slow test_torn_tail_resumes;
           Alcotest.test_case "mid-file corruption is structural" `Slow
@@ -514,6 +578,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_snapshot_flip_detected ] );
       ( "audit",
         [ Alcotest.test_case "clean state audits clean" `Slow test_audit_clean_on_fresh_route;
+          Alcotest.test_case "every phase boundary audits clean" `Slow test_audit_every_phase;
           Alcotest.test_case "density damage" `Slow test_audit_detects_density_damage;
           Alcotest.test_case "severed tree edge" `Slow test_audit_detects_dead_tree_edge;
           Alcotest.test_case "broken pair mirroring" `Slow test_audit_detects_broken_mirror;

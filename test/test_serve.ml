@@ -1765,6 +1765,9 @@ let test_stats_opcode () =
 
 let test_worker_stitching () =
   let root = fresh_dir () in
+  (* routed here, before the registry is zeroed, so every deletion
+     counted below was counted by the worker *)
+  ignore (Lazy.force mini_hash : int);
   Obs.set_clock_for_tests None;
   Obs.enable ();
   Obs.reset ();
@@ -1807,7 +1810,14 @@ let test_worker_stitching () =
   List.iter
     (fun f ->
       checkb (f ^ " written") true (Sys.file_exists (Filename.concat jdir f)))
-    [ "trace-a1.json"; "trace-a1.jsonl"; "metrics-a1.bgrm"; "obs-a1.json" ];
+    [ "trace-a1.jsonl"; "metrics-a1.json"; "obs-a1.json" ];
+  checkb "no per-attempt chrome trace" false
+    (Sys.file_exists (Filename.concat jdir "trace-a1.json"));
+  let deletions =
+    Obs.Metrics.series (Obs.Metrics.counter ~labels:[ "criterion"; "phase" ] "bgr_deletions_total")
+  in
+  checkb "the worker's deletions were merged into the daemon's registry" true
+    (List.fold_left (fun acc (_, v) -> acc +. v) 0.0 deletions > 0.0);
   (* one merged timeline: the daemon's serve.job/serve.worker spans plus
      the worker's own spans, different pids, one trace id *)
   let spans = Obs.Trace.completed () in
